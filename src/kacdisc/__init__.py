@@ -13,7 +13,8 @@ from .errors import (AccuracyError, CircleRootError, DegenerateDegreeError,
                      DegenerateReciprocalError, DoubleRootError,
                      EmptyInputError, ExperimentIntegrityError,
                      GridCollisionError, InvalidBoundError, KacdiscError,
-                     NonConvergenceError, OracleCapError)
+                     NonConvergenceError, NonFiniteCoefficientError,
+                     OracleCapError)
 from .experiments import (ExperimentConfig, ExperimentReport, SummaryStats,
                           ks_two_sample, run_clustering, run_kacrice_gaussian,
                           run_lln, run_mahler, run_min_modulus, run_symmetry,

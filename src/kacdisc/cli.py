@@ -156,9 +156,15 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
     else:
         raise _UsageError("need --n (or a config with n_ladder)")
 
-    env_workers = os.environ.get("KDL_WORKERS")
-    workers = (args.workers if args.workers is not None
-               else base.get("workers", int(env_workers) if env_workers else 1))
+    workers = args.workers
+    if workers is None:
+        workers = base.get("workers")
+    if workers is None:
+        env_workers = os.environ.get("KDL_WORKERS")
+        try:
+            workers = int(env_workers) if env_workers else 1
+        except ValueError:
+            raise _UsageError(f"KDL_WORKERS must be an integer, got {env_workers!r}")
     try:
         return ExperimentConfig(
             dist=dist, n_ladder=ladder,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CircleRootError, DoubleRootError, GridCollisionError,
                      OracleCapError)
 from .polynomials import Coefficients, circle_values, log_abs_deriv
-from .rootfind import RootSet
+from .rootfind import RootSet, close_root_pairs
 
 ORACLE_DEGREE_CAP = 64
 
@@ -60,32 +60,48 @@ class MahlerResult:
     nearest_root_distance_to_circle: float
 
 
-def double_root_guard(rs: RootSet, p: Coefficients) -> bool:
+def double_root_guard(rs: RootSet, p: Coefficients,
+                      logfp: np.ndarray | None = None) -> bool:
     """True iff the root set certifies a repeated root.
 
     Fires when some pair of roots lies within 1e-9*(1+|alpha|), or some
-    |f'(alpha_j)| <= 1e-9 * n^1.5 * max|c_k|.
+    |f'(alpha_j)| <= 1e-9 * n^1.5 * max|c_k|.  ``logfp`` is log|f'| at the
+    roots when the caller already has it.
     """
     if not rs.converged:
         raise ValueError("double-root guard needs a converged root set")
     roots = rs.roots
     n = p.degree
-    if n >= 2:
-        diff = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if np.any(diff <= PAIR_THRESHOLD * (1.0 + np.abs(roots)[:, None])):
-            return True
+    if n >= 2 and close_root_pairs(roots, PAIR_THRESHOLD).size:
+        return True
     threshold = DERIV_THRESHOLD * n ** 1.5 * float(np.max(np.abs(p.coeffs)))
-    logfp = log_abs_deriv(p, roots)
+    if logfp is None:
+        logfp = log_abs_deriv(p, roots)
     return bool(np.any(logfp <= math.log(threshold)))
 
 
-def log_abs_discriminant(p: Coefficients, rs: RootSet) -> float:
-    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|, all in log space."""
-    if double_root_guard(rs, p):
-        raise DoubleRootError("repeated root: log|disc| is -inf")
-    n = p.degree
+def _guarded_log_abs_deriv(p: Coefficients, rs: RootSet, logfp, what: str):
+    """log|f'| at the roots, after the double-root guard.
+
+    A ``logfp`` passed in comes from a caller that has already run
+    ``double_root_guard(rs, p, logfp)``, so neither is repeated.
+    """
+    if logfp is not None:
+        return logfp
     logfp = log_abs_deriv(p, rs.roots)
+    if double_root_guard(rs, p, logfp):
+        raise DoubleRootError(f"repeated root: {what}")
+    return logfp
+
+
+def log_abs_discriminant(p: Coefficients, rs: RootSet,
+                         logfp: np.ndarray | None = None) -> float:
+    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|, all in log space.
+
+    ``logfp``: log|f'| at the roots, already passed through the guard.
+    """
+    logfp = _guarded_log_abs_deriv(p, rs, logfp, "log|disc| is -inf")
+    n = p.degree
     return (n - 2) * math.log(abs(p.coeffs[-1])) + float(logfp.sum())
 
 
@@ -95,12 +111,13 @@ def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
     return float(np.mean(np.log(vals)))
 
 
-def decompose(p: Coefficients, rs: RootSet, quad_points: int) -> DiscriminantBreakdown:
+def decompose(p: Coefficients, rs: RootSet, quad_points: int,
+              logfp: np.ndarray | None = None) -> DiscriminantBreakdown:
     """Split log|disc| into inside/outside root sums, a Mahler integral and
     the (2n-1) log n normalization.
 
     Requires degree >= 2, no roots on the unit circle (within guard) and no
-    repeated roots.
+    repeated roots.  ``logfp`` is as for :func:`log_abs_discriminant`.
     """
     n = p.degree
     if n < 2:
@@ -110,11 +127,9 @@ def decompose(p: Coefficients, rs: RootSet, quad_points: int) -> DiscriminantBre
     mod = np.abs(rs.roots)
     if np.any(np.abs(mod - 1.0) <= ON_CIRCLE_GUARD):
         raise CircleRootError("a root lies on the unit circle")
-    if double_root_guard(rs, p):
-        raise DoubleRootError("repeated root: decomposition undefined")
+    logfp = _guarded_log_abs_deriv(p, rs, logfp, "decomposition undefined")
 
     logn = math.log(n)
-    logfp = log_abs_deriv(p, rs.roots)
     inside = mod < 1.0
     outside = ~inside
     sum_inside = float(np.sum(logfp[inside] - 1.5 * logn))

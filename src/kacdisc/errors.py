@@ -9,6 +9,10 @@ class DegenerateDegreeError(KacdiscError):
     """Leading coefficient is zero, so the stated degree is not attained."""
 
 
+class NonFiniteCoefficientError(KacdiscError):
+    """A coefficient is NaN or infinite."""
+
+
 class DegenerateReciprocalError(KacdiscError):
     """Constant coefficient is zero, so the reciprocal polynomial drops degree."""
 

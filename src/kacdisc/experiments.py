@@ -212,14 +212,16 @@ def _breakdown_trial(args) -> dict:
     except NonConvergenceError:
         rec["status"] = "nonconverged"
         return rec
-    if double_root_guard(rs, p):
+    # one guard and one log|f'| pass serve the direct route and the split
+    logfp = log_abs_deriv(p, rs.roots)
+    if double_root_guard(rs, p, logfp):
         rec["status"] = "double_root"
         return rec
-    logdisc = log_abs_discriminant(p, rs)
+    logdisc = log_abs_discriminant(p, rs, logfp)
     rec["log_abs_disc_direct"] = logdisc
     rec["statistic"] = (logdisc - 2 * n * math.log(n)) / n
     try:
-        br = decompose(p, rs, quad_points)
+        br = decompose(p, rs, quad_points, logfp)
     except CircleRootError:
         # statistic still valid; only the inside/outside split is undefined
         rec["status"] = "circle_root"

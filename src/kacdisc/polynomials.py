@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDegreeError, DegenerateReciprocalError
+from .errors import (DegenerateDegreeError, DegenerateReciprocalError,
+                     NonFiniteCoefficientError)
 
 RADEMACHER = "rademacher"
 GAUSSIAN_REAL = "gaussian_real"
@@ -98,7 +99,8 @@ class CoefficientDistribution:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """An immutable coefficient sequence c0..cn with nonzero leading term."""
+    """An immutable, finite coefficient sequence c0..cn with nonzero
+    leading term."""
 
     coeffs: np.ndarray
     seed_provenance: tuple | str = "manual"
@@ -111,6 +113,8 @@ class Coefficients:
             arr = arr.astype(np.float64)
         else:
             arr = arr.astype(np.complex128)
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteCoefficientError("coefficients must be finite")
         if arr[-1] == 0:
             raise DegenerateDegreeError("leading coefficient is zero")
         arr.setflags(write=False)
@@ -227,16 +231,51 @@ def evaluate(p: Coefficients, z: complex) -> EvalResult:
     return EvalResult(complex(f), complex(fp), complex(fpp), float(s))
 
 
-def _split_by_modulus(z: np.ndarray):
+def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False,
+                    scale: bool = False):
+    """One Horner pass over the stacked points [z inside | 1/z outside].
+
+    A point with |z| <= 1 is evaluated as p(z) = sum_k c_k z^k and any other
+    as the reversed polynomial q(u) = u^n p(1/u) at u = 1/z, so no power of a
+    modulus above one is ever formed.  Both halves share every multiply; at
+    step k only the added coefficient differs (c_(n-k) inside, c_k outside).
+    Each element sees the same operations as in a separate pass over its
+    half, so the results are bit-identical to two such passes.
+
+    Returns (inside, mi, w, f, fp, s): the mask, the number of inside
+    points, then the stacked points, values, derivatives (None unless
+    ``deriv``) and scales sum_k |c_k| |w|^k (None unless ``scale``), each
+    with its first ``mi`` entries inside.
+    """
     inside = np.abs(z) <= 1.0
-    return inside, ~inside
-
-
-def _horner_value(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+    w = np.concatenate([z[inside], 1.0 / z[~inside]])
+    mi = int(np.count_nonzero(inside))
+    f = np.empty_like(w)
+    f[:mi], f[mi:] = coeffs[-1], coeffs[0]
+    f_in, f_out = f[:mi], f[mi:]
+    fp = np.zeros_like(w) if deriv else None
+    s = None
+    aco = np.abs(coeffs)
+    if scale:
+        aw = np.abs(w)
+        s = np.empty(w.shape, dtype=np.float64)
+        s[:mi], s[mi:] = aco[-1], aco[0]
+        s_in, s_out = s[:mi], s[mi:]
+    if not w.size:
+        return inside, mi, w, f, fp, s
+    for c_in, c_out, a_in, a_out in zip(coeffs[-2::-1], coeffs[1:],
+                                        aco[-2::-1], aco[1:]):
+        if deriv:
+            fp *= w
+            fp += f
+        f *= w
+        f_in += c_in
+        f_out += c_out
+        if scale:
+            s *= aw
+            s_in += a_in
+            s_out += a_out
+    return inside, mi, w, f, fp, s
 
 
 def log_abs_poly(p: Coefficients, z: np.ndarray) -> np.ndarray:
@@ -246,17 +285,12 @@ def log_abs_poly(p: Coefficients, z: np.ndarray) -> np.ndarray:
     p(z) = z^n * prev(1/z) is used, so |z|^n is never materialized.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    n = p.degree
+    inside, mi, _, f, _, _ = _stacked_horner(p.coeffs, z)
     out = np.empty(z.shape, dtype=np.float64)
-    inside, outside = _split_by_modulus(z)
-    if inside.any():
-        with np.errstate(divide="ignore"):
-            out[inside] = np.log(np.abs(_horner_value(p.coeffs, z[inside])))
-    if outside.any():
-        u = 1.0 / z[outside]
-        with np.errstate(divide="ignore"):
-            out[outside] = (n * np.log(np.abs(z[outside]))
-                            + np.log(np.abs(_horner_value(p.coeffs[::-1], u))))
+    with np.errstate(divide="ignore"):
+        out[inside] = np.log(np.abs(f[:mi]))
+        out[~inside] = (p.degree * np.log(np.abs(z[~inside]))
+                        + np.log(np.abs(f[mi:])))
     return out
 
 
@@ -265,16 +299,12 @@ def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
     n = p.degree
     dcoeffs = p.coeffs[1:] * np.arange(1, n + 1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    inside, mi, _, f, _, _ = _stacked_horner(dcoeffs, z)
     out = np.empty(z.shape, dtype=np.float64)
-    inside, outside = _split_by_modulus(z)
-    if inside.any():
-        with np.errstate(divide="ignore"):
-            out[inside] = np.log(np.abs(_horner_value(dcoeffs, z[inside])))
-    if outside.any():
-        u = 1.0 / z[outside]
-        with np.errstate(divide="ignore"):
-            out[outside] = ((n - 1) * np.log(np.abs(z[outside]))
-                            + np.log(np.abs(_horner_value(dcoeffs[::-1], u))))
+    with np.errstate(divide="ignore"):
+        out[inside] = np.log(np.abs(f[:mi]))
+        out[~inside] = ((n - 1) * np.log(np.abs(z[~inside]))
+                        + np.log(np.abs(f[mi:])))
     return out
 
 
@@ -286,47 +316,22 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
     """
     n = p.degree
     z = np.asarray(z, dtype=np.complex128)
+    inside, mi, w, f, fp, _ = _stacked_horner(p.coeffs, z, deriv=True)
     out = np.empty(z.shape, dtype=np.complex128)
-    inside, outside = _split_by_modulus(z)
-    if inside.any():
-        zi = z[inside]
-        b = np.full_like(zi, p.coeffs[-1])
-        d = np.zeros_like(zi)
-        for c in p.coeffs[-2::-1]:
-            d = d * zi + b
-            b = b * zi + c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[inside] = b / d
-    if outside.any():
-        u = 1.0 / z[outside]
-        rev = p.coeffs[::-1]
-        qb = np.full_like(u, rev[-1])
-        qd = np.zeros_like(u)
-        for c in rev[-2::-1]:
-            qd = qd * u + qb
-            qb = qb * u + c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[outside] = qb / (u * (n * qb - u * qd))
+    u, qb, qd = w[mi:], f[mi:], fp[mi:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[inside] = f[:mi] / fp[:mi]
+        out[~inside] = qb / (u * (n * qb - u * qd))
     return out
 
 
 def relative_residual(p: Coefficients, z: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |c_k||z|^k elementwise, stable for any modulus."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    inside, mi, _, f, _, s = _stacked_horner(p.coeffs, z, scale=True)
     out = np.empty(z.shape, dtype=np.float64)
-    inside, outside = _split_by_modulus(z)
-    aco = np.abs(p.coeffs)
-    if inside.any():
-        zi = z[inside]
-        val = _horner_value(p.coeffs, zi)
-        sc = _horner_value(aco.astype(np.complex128), np.abs(zi).astype(np.complex128))
-        out[inside] = np.abs(val) / np.abs(sc)
-    if outside.any():
-        u = 1.0 / z[outside]
-        val = _horner_value(p.coeffs[::-1], u)
-        sc = _horner_value(aco[::-1].astype(np.complex128),
-                           np.abs(u).astype(np.complex128))
-        out[outside] = np.abs(val) / np.abs(sc)
+    out[inside] = np.abs(f[:mi]) / s[:mi]
+    out[~inside] = np.abs(f[mi:]) / s[mi:]
     return out
 
 

@@ -1,7 +1,8 @@
 """Simultaneous root finding and root-location statistics.
 
 The primary solver is an Ehrlich-Aberth iteration started on a circle of
-radius (|c0/cn|)^(1/n) with angular jitter, followed by a Newton polish and,
+radius (|c0/cn|)^(1/n) with angular jitter, which stops moving each root once
+its step is below tolerance, followed by a Newton polish and,
 for real inputs, conjugate-pair symmetrization.  If the iteration stalls, a
 balanced companion-matrix eigenvalue solve is used as a fallback and polished
 the same way.
@@ -24,6 +25,8 @@ DEFAULT_MAX_ITER = 200
 CONJUGATE_SNAP = 1e-12
 # Roots with ||alpha| - 1| below this count as on the unit circle.
 ON_CIRCLE_GUARD = 1e-12
+# Rows of the Aberth pair sum formed at once (block x degree scratch).
+PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,69 @@ def _initial_guesses(p: Coefficients) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+def _pair_sums(roots: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for each i in ``rows``.
+
+    The rows are taken in blocks of ``buf.shape[0]``, reusing ``buf`` (a
+    block x n scratch array), so no n x n temporary is formed.  Each row is
+    summed exactly as a row of the full difference matrix would be.
+    """
+    out = np.empty(rows.size, dtype=np.complex128)
+    block = buf.shape[0]
+    for start in range(0, rows.size, block):
+        idx = rows[start:start + block]
+        d = buf[:idx.size]
+        np.subtract.outer(roots[idx], roots, out=d)
+        d[np.arange(idx.size), idx] = np.inf
+        np.divide(1.0, d, out=d)
+        d.sum(axis=1, out=out[start:start + idx.size])
+    return out
+
+
+def close_root_pairs(roots: np.ndarray, rel: float) -> np.ndarray:
+    """Index pairs (i, j), i != j, with |z_i - z_j| <= rel * (1 + |z_i|).
+
+    Rows are scanned in blocks of PAIR_BLOCK, so no n x n array is formed;
+    the pairs come back in row-major order, shape (count, 2).
+    """
+    bound = rel * (1.0 + np.abs(roots))
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for start in range(0, roots.size, PAIR_BLOCK):
+        rows = np.arange(start, min(start + PAIR_BLOCK, roots.size))
+        d = np.abs(roots[rows, None] - roots[None, :])
+        d[np.arange(rows.size), rows] = np.inf
+        hit = np.argwhere(d <= bound[rows, None])
+        hit[:, 0] += start
+        found.append(hit)
+    return np.concatenate(found)
+
+
 def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
                     max_iter: int):
-    n = roots.size
+    """Ehrlich-Aberth sweeps that update only the roots still moving.
+
+    A root whose step falls below 0.1*tol relative to 1 + |root| is frozen:
+    later sweeps leave it in place but keep it in every other root's pair
+    sum.  Stops when no root is active or after ``max_iter`` sweeps, and
+    returns the roots with the number of sweeps made.
+    """
+    roots = roots.copy()
+    active = np.arange(roots.size)
+    buf = np.empty((min(PAIR_BLOCK, roots.size), roots.size), dtype=np.complex128)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        w = newton_ratio(p, roots)
+        z = roots[active]
+        w = newton_ratio(p, z)
         w[~np.isfinite(w)] = 0.0
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
+        s = _pair_sums(roots, active, buf)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
         step[~np.isfinite(step)] = 0.0
-        roots = roots - step
-        if np.max(np.abs(step) / (1.0 + np.abs(roots))) < 0.1 * tol:
+        z = z - step
+        roots[active] = z
+        active = active[~(np.abs(step) / (1.0 + np.abs(z)) < 0.1 * tol)]
+        if active.size == 0:
             break
     return roots, iterations
 
@@ -131,13 +181,9 @@ def _collapse_certified_double_roots(p: Coefficients, roots: np.ndarray,
     ``certify_tol`` the pair collapses onto the critical point.  Genuinely
     separate close roots fail the residual certificate and are left alone.
     """
-    n = roots.size
-    if n < 2:
+    if roots.size < 2:
         return roots
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, np.inf)
-    scale = 1.0 + np.abs(roots)[:, None]
-    cand = np.argwhere(diff <= pair_window * scale)
+    cand = close_root_pairs(roots, pair_window)
     if cand.size == 0:
         return roots
     dcoeffs = p.coeffs[1:] * np.arange(1, p.degree + 1)

@@ -65,6 +65,25 @@ def test_missing_coeffs_usage_error(capsys):
     assert run(capsys, "disc")[0] == 1
 
 
+def test_bad_worker_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KDL_WORKERS", "abc")
+    rc, out, err = run(capsys, "lln", "--n", "8", "--trials", "1")
+    assert rc == 1
+    assert err.startswith("usage error:") and "KDL_WORKERS" in err
+    assert out == ""
+    # an explicit --workers flag does not read the variable
+    assert run(capsys, "lln", "--n", "8", "--trials", "1", "--workers", "1")[0] == 0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_coeffs_one_line_error(capsys, bad):
+    for sub in ("roots", "disc"):
+        rc, out, err = run(capsys, sub, f"--coeffs=1,{bad},1")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_lln_outputs_byte_identical(tmp_path, capsys):
     args = ["lln", "--dist", "rademacher", "--n", "16,24", "--trials", "4",
             "--seed", "7"]

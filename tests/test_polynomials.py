@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacdisc.errors import DegenerateDegreeError, DegenerateReciprocalError
+from kacdisc.errors import (DegenerateDegreeError, DegenerateReciprocalError,
+                            KacdiscError, NonFiniteCoefficientError)
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
@@ -75,6 +76,16 @@ def test_zero_leading_coefficient_rejected():
         sample_kac(d, 2, 0, 0)
     with pytest.raises(DegenerateDegreeError):
         coeffs(1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan), complex(math.inf, 0.0)])
+def test_nonfinite_coefficients_rejected(bad):
+    assert issubclass(NonFiniteCoefficientError, KacdiscError)
+    with pytest.raises(NonFiniteCoefficientError):
+        Coefficients(np.array([1.0, bad, 1.0]))
+    with pytest.raises(NonFiniteCoefficientError):
+        Coefficients.from_json(json.dumps({"coeffs": [1.0, 2.0, math.inf]}))
 
 
 # -------------------------------------------------------------- evaluation
@@ -147,6 +158,113 @@ def test_log_abs_helpers_match_direct_eval():
         assert abs(w - r.f / r.fp) < 1e-10 * abs(r.f / r.fp)
         rr = relative_residual(p, np.array([z]))[0]
         assert abs(rr - abs(r.f) / r.scale) < 1e-12
+
+
+# Two-pass Horner references: one Python loop over the points inside the
+# unit circle, another over the reversed polynomial at 1/z outside it.
+
+def _ref_split(z):
+    inside = np.abs(z) <= 1.0
+    return inside, ~inside
+
+
+def _ref_horner_value(coeffs, z):
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _ref_newton_ratio(p, z):
+    n = p.degree
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
+    inside, outside = _ref_split(z)
+    if inside.any():
+        zi = z[inside]
+        b = np.full_like(zi, p.coeffs[-1])
+        d = np.zeros_like(zi)
+        for c in p.coeffs[-2::-1]:
+            d = d * zi + b
+            b = b * zi + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[inside] = b / d
+    if outside.any():
+        u = 1.0 / z[outside]
+        rev = p.coeffs[::-1]
+        qb = np.full_like(u, rev[-1])
+        qd = np.zeros_like(u)
+        for c in rev[-2::-1]:
+            qd = qd * u + qb
+            qb = qb * u + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[outside] = qb / (u * (n * qb - u * qd))
+    return out
+
+
+def _ref_log_abs(coeffs, z, degree):
+    out = np.empty(z.shape, dtype=np.float64)
+    inside, outside = _ref_split(z)
+    with np.errstate(divide="ignore"):
+        if inside.any():
+            out[inside] = np.log(np.abs(_ref_horner_value(coeffs, z[inside])))
+        if outside.any():
+            u = 1.0 / z[outside]
+            out[outside] = (degree * np.log(np.abs(z[outside]))
+                            + np.log(np.abs(_ref_horner_value(coeffs[::-1], u))))
+    return out
+
+
+def _ref_log_abs_deriv(p, z):
+    dcoeffs = p.coeffs[1:] * np.arange(1, p.degree + 1)
+    return _ref_log_abs(dcoeffs, z, p.degree - 1)
+
+
+def _ref_relative_residual(p, z):
+    out = np.empty(z.shape, dtype=np.float64)
+    inside, outside = _ref_split(z)
+    aco = np.abs(p.coeffs)
+    if inside.any():
+        zi = z[inside]
+        val = _ref_horner_value(p.coeffs, zi)
+        sc = _ref_horner_value(aco.astype(np.complex128),
+                               np.abs(zi).astype(np.complex128))
+        out[inside] = np.abs(val) / np.abs(sc)
+    if outside.any():
+        u = 1.0 / z[outside]
+        val = _ref_horner_value(p.coeffs[::-1], u)
+        sc = _ref_horner_value(aco[::-1].astype(np.complex128),
+                               np.abs(u).astype(np.complex128))
+        out[outside] = np.abs(val) / np.abs(sc)
+    return out
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [1, 7, 128, 800])
+@pytest.mark.parametrize("where", ["inside", "outside", "mixed"])
+def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
+    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    rng = np.random.default_rng(n)
+    lo, hi = {"inside": (0.0, 1.0), "outside": (1.0 + 1e-9, 3.0),
+              "mixed": (0.9, 1.1)}[where]
+    z = rng.uniform(lo, hi, 301) * np.exp(2j * np.pi * rng.random(301))
+    if where == "mixed":
+        # exact circle points, real points and zero take the inside branch
+        z[:4] = [1.0, -1.0, 1j, 0.0]
+        z[4:8] = z[4:8].real
+    for got, ref in ((newton_ratio(p, z), _ref_newton_ratio(p, z)),
+                     (log_abs_deriv(p, z), _ref_log_abs_deriv(p, z)),
+                     (log_abs_poly(p, z), _ref_log_abs(p.coeffs, z, n)),
+                     (relative_residual(p, z), _ref_relative_residual(p, z))):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_kernel_handles_empty_input():
+    p = coeffs(1.0, 2.0, 3.0)
+    empty = np.zeros(0, dtype=np.complex128)
+    for fn in (newton_ratio, log_abs_deriv, log_abs_poly, relative_residual):
+        assert fn(p, empty).shape == (0,)
 
 
 def test_log_abs_deriv_no_overflow_for_huge_roots():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from kacdisc.errors import InvalidBoundError
-from kacdisc.polynomials import (RADEMACHER, CoefficientDistribution,
-                                 Coefficients, reciprocal, sample_kac)
+from kacdisc import rootfind
+from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
+                                 CoefficientDistribution, Coefficients,
+                                 newton_ratio, reciprocal, sample_kac)
 from kacdisc.rootfind import (RootSet, erdos_turan_bound, find_roots,
                               omega_annulus, root_stats)
 
@@ -141,3 +143,71 @@ def test_nonconvergence_reports_worst_residual():
     with pytest.raises(NonConvergenceError) as exc:
         find_roots(p, tol=1e-30, max_iter=5)
     assert exc.value.worst_residual > 0
+
+
+def _ref_aberth_iterate(p, roots, tol, max_iter):
+    """Reference loop: every root updated in every sweep, full n x n pair
+    matrix, stop once the largest relative step is below 0.1*tol."""
+    iterations = 0
+    for it in range(max_iter):
+        iterations = it + 1
+        w = newton_ratio(p, roots)
+        w[~np.isfinite(w)] = 0.0
+        diff = roots[:, None] - roots[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - w * s
+        step = np.where(np.abs(denom) > 1e-300, w / denom, w)
+        step[~np.isfinite(step)] = 0.0
+        roots = roots - step
+        if np.max(np.abs(step) / (1.0 + np.abs(roots))) < 0.1 * tol:
+            break
+    return roots, iterations
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [128, 800])
+def test_freezing_aberth_matches_unfrozen_loop(kind, n):
+    p = sample_kac(CoefficientDistribution(kind), n, 4, 0)
+    guesses = rootfind._initial_guesses(p)
+    tol = rootfind.DEFAULT_TOL
+    ref, ref_iters = _ref_aberth_iterate(p, guesses, tol, rootfind.DEFAULT_MAX_ITER)
+    got, iters = rootfind._aberth_iterate(p, guesses, tol, rootfind.DEFAULT_MAX_ITER)
+    assert iters == ref_iters
+    ref = rootfind._newton_polish(p, ref)
+    got = rootfind._newton_polish(p, got)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_pair_sums_match_full_matrix_rows():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, np.inf)
+    full = (1.0 / diff).sum(axis=1)
+    rows = np.array([149, 0, 7, 64, 65, 128])
+    buf = np.empty((4, z.size), dtype=np.complex128)  # several blocks
+    assert rootfind._pair_sums(z, rows, buf).tobytes() == full[rows].tobytes()
+
+
+def test_aberth_iterate_keeps_guesses_and_respects_max_iter():
+    p = sample_kac(CoefficientDistribution(RADEMACHER), 60, 2, 0)
+    guesses = rootfind._initial_guesses(p)
+    before = guesses.copy()
+    roots, iters = rootfind._aberth_iterate(p, guesses, 1e-12, 3)
+    assert iters == 3
+    assert np.array_equal(guesses, before)
+    ref, _ = _ref_aberth_iterate(p, guesses, 1e-12, 3)
+    assert roots.tobytes() == ref.tobytes()  # nothing freezes in 3 sweeps
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 300])
+def test_close_root_pairs_match_full_matrix(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z[-1] = z[0] * (1.0 + 1e-7)  # one close pair across the row blocks
+    diff = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(diff, np.inf)
+    for rel in (1e-9, 1e-5, 0.1):
+        full = np.argwhere(diff <= rel * (1.0 + np.abs(z)[:, None]))
+        assert np.array_equal(rootfind.close_root_pairs(z, rel), full)
