@@ -202,6 +202,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise _UsageError("--n must be >= 1")
     dist = CoefficientDistribution(kind=_DIST_FLAGS[args.dist], k=args.k or 240)
     p = sample_kac(dist, args.n, args.seed, args.trial)
     text = p.to_json() + "\n"

@@ -20,8 +20,8 @@ from .discriminant import decompose, double_root_guard, log_abs_discriminant
 from .errors import (CircleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, CoefficientDistribution,
-                          Coefficients, circle_values, log_abs_deriv,
-                          sample_kac, trial_rng)
+                          Coefficients, _stacked_horner, circle_values,
+                          log_abs_deriv, sample_kac, trial_rng)
 from .rootfind import (canonical_annulus, erdos_turan_bound, find_roots,
                        omega_annulus, root_stats)
 
@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be strictly increasing")
         if not self.n_ladder:
             raise ValueError("n_ladder must be nonempty")
+        if any(n < 1 for n in self.n_ladder):
+            raise ValueError("n_ladder entries must be >= 1")
         if self.annulus_omega not in ("log2", "log3"):
             raise ValueError("annulus_omega must be 'log2' or 'log3'")
         if self.quad_factor < 16:
@@ -410,15 +412,28 @@ def run_clustering(config: ExperimentConfig) -> ExperimentReport:
         guards=guards, record_columns=_CLUSTERING_COLUMNS, records=records)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Worst relative gap to a 10-step refinement over 40 trials per distribution
+# at n=1024: 1.5e-4 after 2 steps, 8.8e-7 after 3, 1.3e-8 after 4 and
+# 2.1e-10 after 5.
+_GAUSS_NEWTON_STEPS = 5
 
 
-def _eval_mags_at(coeffs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    z = np.exp(1j * thetas)
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return np.abs(acc)
+def _circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
+    """Values F and angular derivatives J of the polynomial at e^(i theta).
+
+    One deriv pass of the shared Horner kernel: inside its split
+    F = f(z) and J = i z f'(z); in the reversed half F = q(u) and
+    J = -i u q'(u) with u = 1/z, since q(u) = u^n f(z) has the same modulus
+    as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
+    order of ``thetas``.
+    """
+    inside, mi, w, f, fp, _ = _stacked_horner(coeffs, np.exp(1j * thetas),
+                                              deriv=True)
+    jac = w * fp
+    F, J = np.empty_like(f), np.empty_like(jac)
+    F[inside], F[~inside] = f[:mi], f[mi:]
+    J[inside], J[~inside] = 1j * jac[:mi], -1j * jac[mi:]
+    return F, J
 
 
 def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
@@ -426,8 +441,12 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
 
     The dips of |f| near a root at distance d from the circle have angular
     width of order d, far below any practical grid spacing, so every local
-    grid minimum within a small factor of the global one is refined by a
-    golden-section search over its bracket, vectorized across candidates.
+    grid minimum within a small factor of the global one is refined by
+    Gauss-Newton steps on g(theta) = |F(theta)|^2, vectorized across
+    candidates: delta = -Re(conj(J) F) / |J|^2 with J = dF/dtheta, clipped
+    to the candidate's bracket of one grid step either side.  A point with
+    J = 0 takes no step.  The result is the least |F| evaluated, so it
+    never exceeds the grid minimum.
     """
     m = mags.size
     local = np.where((mags < np.roll(mags, 1)) & (mags <= np.roll(mags, -1)))[0]
@@ -437,18 +456,18 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
     if cand.size > 32:
         cand = cand[np.argsort(mags[cand])[:32]]
     h = 2.0 * math.pi / m
-    a = 2.0 * math.pi * cand / m - h
-    b = a + 2.0 * h
+    centre = 2.0 * math.pi * cand / m
+    theta = centre
     best = float(mags.min())
-    for _ in range(48):
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1 = _eval_mags_at(coeffs, x1)
-        f2 = _eval_mags_at(coeffs, x2)
-        take1 = f1 <= f2
-        b = np.where(take1, x2, b)
-        a = np.where(take1, a, x1)
-        best = min(best, float(f1.min()), float(f2.min()))
+    for step in range(_GAUSS_NEWTON_STEPS + 1):
+        F, J = _circle_value_and_slope(coeffs, theta)
+        best = min(best, float(np.abs(F).min()))
+        if step == _GAUSS_NEWTON_STEPS:
+            break
+        slope2 = J.real ** 2 + J.imag ** 2
+        delta = np.zeros_like(slope2)
+        np.divide(-(J.conj() * F).real, slope2, out=delta, where=slope2 > 0)
+        theta = np.clip(theta + delta, centre - h, centre + h)
     return best
 
 
@@ -469,7 +488,7 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
     """Distribution of sqrt(n) * (minimum of |f| on the unit circle).
 
     ``statistic`` uses the raw grid minimum; ``statistic_refined`` sharpens
-    each candidate dip by golden-section search, which is the version whose
+    each candidate dip by Gauss-Newton steps, which is the version whose
     law actually stabilizes as n grows.
     """
     per_n = {}

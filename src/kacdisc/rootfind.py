@@ -223,15 +223,13 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
     # factor out exact zero roots (vanishing low-order coefficients)
     nz = np.nonzero(p.coeffs)[0]
     zero_mult = int(nz[0])
+    if zero_mult == n:
+        # pure monomial c*z^n: all roots are exactly zero
+        return RootSet(np.zeros(n, dtype=np.complex128), np.zeros(n), True, 0)
     if zero_mult:
         reduced = Coefficients(np.array(p.coeffs[zero_mult:]), seed_provenance="manual")
     else:
         reduced = p
-
-    if reduced.degree == 0:
-        # pure monomial c*z^m: all roots are exactly zero
-        return RootSet(np.zeros(zero_mult, dtype=np.complex128),
-                       np.zeros(zero_mult), True, 0)
 
     guesses = _initial_guesses(reduced)
     roots, iters = _aberth_iterate(reduced, guesses, tol, max_iter)

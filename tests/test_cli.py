@@ -53,6 +53,29 @@ def test_roots_jsonl(capsys):
     assert "max residual" in err
 
 
+def test_roots_of_monomial(capsys):
+    rc, out, err = run(capsys, "roots", "--coeffs=0,0,1")
+    assert rc == 0
+    rows = [json.loads(l) for l in out.strip().splitlines()]
+    assert [(r["re"], r["im"]) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
+    assert err.startswith("2 roots")
+
+
+@pytest.mark.parametrize("ladder", ["0", "-3,16", "0,16"])
+def test_degree_below_one_is_usage_error(capsys, ladder):
+    rc, _, err = run(capsys, "minmod", "--dist", "rademacher",
+                     f"--n={ladder}", "--trials", "2")
+    assert rc == 1
+    assert err.startswith("usage error:") and "n_ladder" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_sample_degree_below_one_is_usage_error(capsys):
+    rc, _, err = run(capsys, "sample", "--n", "0")
+    assert rc == 1
+    assert err == "usage error: --n must be >= 1\n"
+
+
 def test_disc_total_log4(capsys):
     rc, out, err = run(capsys, "disc", "--coeffs", "1,0,-1")
     assert rc == 0

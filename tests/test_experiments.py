@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacdisc.errors import EmptyInputError
-from kacdisc.experiments import (ExperimentConfig, SummaryStats, ks_two_sample,
+from kacdisc.experiments import (ExperimentConfig, SummaryStats,
+                                 _circle_value_and_slope,
+                                 _refine_circle_minimum, ks_two_sample,
                                  run_kacrice_gaussian, run_lln, run_mahler,
                                  run_min_modulus, run_symmetry, summarize)
 from kacdisc.limits import EULER_GAMMA
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
-                                 CoefficientDistribution)
+                                 CoefficientDistribution, circle_values,
+                                 sample_kac)
 
 RAD = CoefficientDistribution(RADEMACHER)
 
@@ -104,6 +107,12 @@ def test_config_validation():
         config(quad_factor=2)
 
 
+@pytest.mark.parametrize("ladder", [(0,), (-2, 16), (0, 1)])
+def test_config_rejects_degree_below_one(ladder):
+    with pytest.raises(ValueError, match="n_ladder"):
+        config(n_ladder=ladder)
+
+
 def test_ineligible_distribution_rejected():
     raw = CoefficientDistribution("uniform_int_raw", k=240)
     with pytest.raises(ValueError):
@@ -159,10 +168,88 @@ def test_mahler_runner_gaussian():
     assert rep.reference["minus_half_gamma"] == -EULER_GAMMA / 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_min_modulus_monomial():
+    # |z^16| = 1 on the circle; the reversed half is q = 1 with q' = 0, so
+    # the refinement meets zero slope there and must take no step
     fixed = CoefficientDistribution("fixed", coeffs=(0.0,) * 16 + (1.0,))
     rep = run_min_modulus(config(dist=fixed, n_ladder=(16,), trials=2))
     assert rep.per_n["16"]["stats"]["mean"] == pytest.approx(4.0, abs=1e-12)
+    assert rep.per_n["16"]["stats_refined"]["mean"] == pytest.approx(4.0, abs=1e-12)
+
+
+def _golden_section_minimum(coeffs, mags):
+    """The former refinement: a 48-step golden-section search over the same
+    candidate brackets, evaluating both interior points on every step."""
+    def mags_at(thetas):
+        z = np.exp(1j * thetas)
+        acc = np.full_like(z, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = acc * z + c
+        return np.abs(acc)
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    m = mags.size
+    local = np.where((mags < np.roll(mags, 1)) & (mags <= np.roll(mags, -1)))[0]
+    if local.size == 0:
+        return float(mags.min())
+    cand = local[mags[local] <= 6.0 * mags.min()]
+    if cand.size > 32:
+        cand = cand[np.argsort(mags[cand])[:32]]
+    h = 2.0 * math.pi / m
+    a = 2.0 * math.pi * cand / m - h
+    b = a + 2.0 * h
+    best = float(mags.min())
+    for _ in range(48):
+        x1 = b - golden * (b - a)
+        x2 = a + golden * (b - a)
+        f1, f2 = mags_at(x1), mags_at(x2)
+        take1 = f1 <= f2
+        b = np.where(take1, x2, b)
+        a = np.where(take1, a, x1)
+        best = min(best, float(f1.min()), float(f2.min()))
+    return best
+
+
+@pytest.mark.parametrize("n,phi", [(64, 0.123456789), (64, 2.5), (128, 1.0)])
+def test_refined_minimum_matches_analytic_dip(n, phi):
+    # f = z^n - rho e^{i phi} has min |f| = 1 - rho on the circle, in n dips
+    # of angular width ~ (1 - rho)/n, far below the grid spacing
+    rho = 1.0 - 1e-6
+    coeffs = np.zeros(n + 1, dtype=np.complex128)
+    coeffs[0], coeffs[-1] = -rho * np.exp(1j * phi), 1.0
+    mags = np.abs(circle_values(coeffs, 1.0, 16 * (n + 1)))
+    assert mags.min() > 1e-3
+    assert abs(_refine_circle_minimum(coeffs, mags) - (1.0 - rho)) <= 1e-9
+
+
+def test_circle_slope_matches_analytic_derivative_on_both_branches():
+    # g = |e^{in theta} - a|^2 has g' = 2n Im(conj(a) e^{in theta}); rounding
+    # puts some e^{i theta} outside the circle, where the kernel evaluates
+    # the reversed polynomial, and both halves must give the same g and g'
+    n, a = 40, 0.7 - 0.4j
+    coeffs = np.zeros(n + 1, dtype=np.complex128)
+    coeffs[0], coeffs[-1] = -a, 1.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 997)
+    outside = np.abs(np.exp(1j * thetas)) > 1.0
+    assert 0 < np.count_nonzero(outside) < thetas.size
+    F, J = _circle_value_and_slope(coeffs, thetas)
+    w = np.exp(1j * n * thetas)
+    assert np.allclose(np.abs(F), np.abs(w - a), rtol=0, atol=1e-12)
+    assert np.allclose(2.0 * (F.conj() * J).real,
+                       2.0 * n * (np.conj(a) * w).imag, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, "gaussian_real", GAUSSIAN_COMPLEX])
+def test_refined_minimum_agrees_with_golden_section(kind):
+    n, dist = 512, CoefficientDistribution(kind)
+    for trial in range(40):
+        p = sample_kac(dist, n, 11, trial)
+        mags = np.abs(circle_values(p.coeffs, 1.0, 16 * (n + 1)))
+        refined = _refine_circle_minimum(p.coeffs, mags)
+        reference = _golden_section_minimum(p.coeffs, mags)
+        assert refined <= mags.min()
+        assert abs(refined - reference) <= 1e-8 * reference
 
 
 def test_symmetry_runner_small():

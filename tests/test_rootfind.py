@@ -32,6 +32,17 @@ def test_cubic_with_zero_root():
     assert np.allclose(sorted_roots(rs), [-1.0, 0.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("vals", [(0.0, 0.0, 1.0), (0.0,) * 5 + (-3.0,),
+                                  (0.0, 2.0 + 1.0j)])
+def test_pure_monomial_has_exact_zero_roots(vals):
+    # c*z^m: m exact zeros, no Aberth solve
+    p = Coefficients(np.array(vals))
+    rs = find_roots(p)
+    assert rs.converged and rs.iterations == 0
+    assert rs.count == p.degree
+    assert np.all(rs.roots == 0) and np.all(rs.residuals == 0)
+
+
 def test_reconstruction_oracle_degree50():
     # product of (z - alpha_j) over found roots must reproduce f / c_n
     p = sample_kac(CoefficientDistribution(RADEMACHER), 50, 7, 3)
