@@ -9,12 +9,12 @@ experiments that measure the finite-n behavior.
 from .discriminant import (DiscriminantBreakdown, MahlerResult, decompose,
                            double_root_guard, exact_discriminant,
                            jensen_point, log_abs_discriminant, mahler)
-from .errors import (AccuracyError, CircleRootError, DegenerateDegreeError,
-                     DegenerateReciprocalError, DoubleRootError,
-                     EmptyInputError, ExperimentIntegrityError,
-                     GridCollisionError, InvalidBoundError, KacdiscError,
-                     NonConvergenceError, NonFiniteCoefficientError,
-                     OracleCapError)
+from .errors import (AccuracyError, CircleRootError, ConfigurationError,
+                     DegenerateDegreeError, DegenerateReciprocalError,
+                     DoubleRootError, EmptyInputError,
+                     ExperimentIntegrityError, GridCollisionError,
+                     InvalidBoundError, KacdiscError, NonConvergenceError,
+                     NonFiniteCoefficientError, OracleCapError)
 from .experiments import (ExperimentConfig, ExperimentReport, SummaryStats,
                           ks_two_sample, run_clustering, run_kacrice_gaussian,
                           run_lln, run_mahler, run_min_modulus, run_symmetry,

@@ -180,6 +180,17 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
 
 
 def _cmd_constants(args) -> int:
+    rows = []
+    if args.table:
+        try:
+            ts = [float(x) for x in args.table.split(",")]
+        except ValueError:
+            raise _UsageError(f"bad --table list {args.table!r}")
+        try:
+            rows = [(t, limits.phi(t), limits.psi_limit(t),
+                     limits.s_n_suite(args.table_n, t).psi_n) for t in ts]
+        except ValueError as exc:
+            raise _UsageError(f"--table/--table-n: {exc}")
     table = limits.ConstantTable.compute(tol=args.tol)
     off = table.d_star - D_STAR_REFERENCE
     verdict = "ok" if abs(off) <= D_STAR_REFERENCE_TOL else f"off by {off:+.6f}"
@@ -189,15 +200,9 @@ def _cmd_constants(args) -> int:
     print(f"d_star       = {table.d_star!r}  "
           f"[reference {D_STAR_REFERENCE} +/- {D_STAR_REFERENCE_TOL}: {verdict}]")
     if args.table:
-        try:
-            ts = [float(x) for x in args.table.split(",")]
-        except ValueError:
-            raise _UsageError(f"bad --table list {args.table!r}")
-        n = args.table_n
         print("t,phi,psi,psi_n")
-        for t in ts:
-            pn = limits.s_n_suite(n, t).psi_n
-            print(f"{t!r},{limits.phi(t)!r},{limits.psi_limit(t)!r},{pn!r}")
+        for row in rows:
+            print(",".join(repr(x) for x in row))
     return 0
 
 
@@ -237,6 +242,8 @@ def _cmd_roots(args) -> int:
 
 def _cmd_disc(args) -> int:
     p = _parse_coeffs(args)
+    if p.degree < 2:
+        raise _UsageError("disc needs degree >= 2")
     rs = find_roots(p)
     quad_points = args.quad_factor * (p.degree + 1)
     try:

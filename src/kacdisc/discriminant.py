@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CircleRootError, DoubleRootError, GridCollisionError,
                      OracleCapError)
 from .polynomials import Coefficients, circle_values, log_abs_deriv
-from .rootfind import RootSet, close_root_pairs
+from .rootfind import ON_CIRCLE_GUARD, RootSet, close_root_pairs
 
 ORACLE_DEGREE_CAP = 64
 
@@ -25,7 +25,6 @@ ORACLE_DEGREE_CAP = 64
 # 1e-9 * n^1.5 * max|c| mark a repeated root.
 PAIR_THRESHOLD = 1e-9
 DERIV_THRESHOLD = 1e-9
-ON_CIRCLE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,10 @@ class AccuracyError(KacdiscError):
         self.estimate = estimate
 
 
+class ConfigurationError(KacdiscError, ValueError):
+    """An experiment configuration lies outside the experiment's domain."""
+
+
 class ExperimentIntegrityError(KacdiscError):
     """Too many per-trial failures for the experiment summary to be trusted."""
 

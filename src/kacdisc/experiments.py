@@ -17,7 +17,7 @@ import numpy as np
 
 from . import limits
 from .discriminant import decompose, double_root_guard, log_abs_discriminant
-from .errors import (CircleRootError, EmptyInputError,
+from .errors import (CircleRootError, ConfigurationError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, CoefficientDistribution,
                           Coefficients, _stacked_horner, circle_values,
@@ -192,7 +192,7 @@ def _run_trials(fn, args_list, workers: int) -> list:
 
 def _require_eligible(config: ExperimentConfig):
     if not config.dist.theorem_eligible and not config.allow_ineligible:
-        raise ValueError(
+        raise ConfigurationError(
             f"distribution {config.dist.kind!r} is not theorem-eligible "
             "(needs mean zero, unit variance, no atom at zero)")
 
@@ -242,6 +242,10 @@ _BREAKDOWN_COLUMNS = ("n", "trial", "status", "sum_inside", "sum_outside",
 
 def _collect_breakdowns(config: ExperimentConfig):
     """Shared engine for the discriminant-statistic experiments."""
+    if config.n_ladder[0] < 2:
+        raise ConfigurationError(
+            "the discriminant decomposition needs degree >= 2, "
+            f"got n={config.n_ladder[0]}")
     per_n = {}
     guards = {"double_root": 0, "circle_root": 0, "nonconverged": 0,
               "resampled": 0}
@@ -421,7 +425,7 @@ _GAUSS_NEWTON_STEPS = 5
 def _circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
     """Values F and angular derivatives J of the polynomial at e^(i theta).
 
-    One deriv pass of the shared Horner kernel: inside its split
+    One deriv pass of the shared evaluation kernel: inside its split
     F = f(z) and J = i z f'(z); in the reversed half F = q(u) and
     J = -i u q'(u) with u = 1/z, since q(u) = u^n f(z) has the same modulus
     as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
@@ -546,7 +550,17 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
     same value, and the same gap in standard errors, under both names.
     """
     if config.dist.kind != GAUSSIAN_COMPLEX:
-        raise ValueError("this experiment is defined for the complex-Gaussian model")
+        raise ConfigurationError(
+            "this experiment is defined for the complex-Gaussian model")
+    if config.trials < 2:
+        raise ConfigurationError("the gap in standard errors needs trials >= 2")
+    quads = {}
+    for n in config.n_ladder:
+        try:
+            quads[n] = limits.kac_rice_exact_mean(n)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"no Kac-Rice reference value at n={n}: {exc}") from None
     guards = {"nonconverged": 0}
     per_n = {}
     records = []
@@ -559,7 +573,7 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
         if len(recs) - len(ok) > NONCONVERGENCE_BUDGET * config.trials:
             raise ExperimentIntegrityError(f"too many failed solves at n={n}")
         stats = summarize([r["statistic"] for r in ok])
-        quad = limits.kac_rice_exact_mean(n)
+        quad = quads[n]
         gap = abs(stats.mean - quad) / stats.stderr
         per_n[str(n)] = {
             "stats": stats.to_dict(),

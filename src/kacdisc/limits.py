@@ -287,6 +287,8 @@ def kac_rice_exact_mean(n: int) -> float:
 
         int_0^{T_n} (s_tilde / (4 s0)) (log(s_tilde/4) + 2t/n + 1 - gamma) dt.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     c = 1.0 - EULER_GAMMA
 
     def integrand(t):

@@ -233,49 +233,100 @@ def evaluate(p: Coefficients, z: complex) -> EvalResult:
 
 def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False,
                     scale: bool = False):
-    """One Horner pass over the stacked points [z inside | 1/z outside].
+    """Evaluate over the stacked points [z inside | 1/z outside].
 
     A point with |z| <= 1 is evaluated as p(z) = sum_k c_k z^k and any other
     as the reversed polynomial q(u) = u^n p(1/u) at u = 1/z, so no power of a
-    modulus above one is ever formed.  Both halves share every multiply; at
-    step k only the added coefficient differs (c_(n-k) inside, c_k outside).
-    Each element sees the same operations as in a separate pass over its
-    half, so the results are bit-identical to two such passes.
+    modulus above one is ever formed.
+
+    Values and derivatives come from the blocked scheme of
+    :func:`_blocked_values`.  With ``scale`` the values come instead from a
+    plain Horner loop that also accumulates the scales; only the residual
+    certificate asks for them, so it shares no arithmetic with the solver
+    it checks.
 
     Returns (inside, mi, w, f, fp, s): the mask, the number of inside
     points, then the stacked points, values, derivatives (None unless
-    ``deriv``) and scales sum_k |c_k| |w|^k (None unless ``scale``), each
-    with its first ``mi`` entries inside.
+    ``deriv``; never with ``scale``) and scales sum_k |c_k| |w|^k (None
+    unless ``scale``), each with its first ``mi`` entries inside.
     """
     inside = np.abs(z) <= 1.0
     w = np.concatenate([z[inside], 1.0 / z[~inside]])
     mi = int(np.count_nonzero(inside))
+    if scale:
+        f, s = _horner_with_scale(coeffs, w, mi)
+        return inside, mi, w, f, None, s
+    f, fp = _blocked_values(coeffs, w, mi, deriv)
+    return inside, mi, w, f, fp, None
+
+
+def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
+    """Values (and derivatives) at stacked points in about sqrt(n) steps.
+
+    Paterson-Stockmeyer baby steps / giant steps: with B = ceil(sqrt(n+1)),
+    p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The power
+    table w^0..w^(B-1) is formed once per point, every zero-padded block
+    of B coefficients is contracted against it in one ``np.einsum`` per
+    half (plain c_einsum: a BLAS product would start OpenBLAS threads that
+    oversubscribe the worker pool), and Horner in w^B runs over the
+    ceil((n+1)/B) block values.  The derivative reuses the power table on
+    the coefficients (k+1) c_(k+1).  The first ``mi`` points take c_k, the
+    rest the reversed coefficients.
+    """
+    n = coeffs.size - 1
+    r = math.isqrt(n + 1)
+    nb = r if r * r == n + 1 else r + 1
+    nk = -(-(n + 1) // nb)
+    rows = 2 if deriv else 1
+    blocks = np.zeros((2, rows, nk * nb), dtype=coeffs.dtype)
+    blocks[0, 0, :n + 1] = coeffs
+    blocks[1, 0, :n + 1] = coeffs[::-1]
+    if deriv:
+        mult = np.arange(1, n + 1)
+        blocks[0, 1, :n] = coeffs[1:] * mult
+        blocks[1, 1, :n] = coeffs[-2::-1] * mult
+    blocks = blocks.reshape(2, rows, nk, nb)
+    powers = np.empty((w.size, nb), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    giant = powers[:, -1] * w
+    vals = np.empty((nk, rows, w.size), dtype=np.complex128)
+    np.einsum("skj,mj->ksm", blocks[0], powers[:mi], out=vals[:, :, :mi])
+    np.einsum("skj,mj->ksm", blocks[1], powers[mi:], out=vals[:, :, mi:])
+    acc = vals[-1]
+    for k in range(nk - 2, -1, -1):
+        acc *= giant
+        acc += vals[k]
+    return acc[0], (acc[1] if deriv else None)
+
+
+def _horner_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
+    """One Horner loop giving values and scales sum_k |c_k| |w|^k.
+
+    Both halves share every multiply; at step k only the added coefficient
+    differs (c_(n-k) inside, c_k outside), so each element sees the same
+    operations as in a separate pass over its half.
+    """
     f = np.empty_like(w)
     f[:mi], f[mi:] = coeffs[-1], coeffs[0]
     f_in, f_out = f[:mi], f[mi:]
-    fp = np.zeros_like(w) if deriv else None
-    s = None
     aco = np.abs(coeffs)
-    if scale:
-        aw = np.abs(w)
-        s = np.empty(w.shape, dtype=np.float64)
-        s[:mi], s[mi:] = aco[-1], aco[0]
-        s_in, s_out = s[:mi], s[mi:]
+    aw = np.abs(w)
+    s = np.empty(w.shape, dtype=np.float64)
+    s[:mi], s[mi:] = aco[-1], aco[0]
+    s_in, s_out = s[:mi], s[mi:]
     if not w.size:
-        return inside, mi, w, f, fp, s
+        return f, s
     for c_in, c_out, a_in, a_out in zip(coeffs[-2::-1], coeffs[1:],
                                         aco[-2::-1], aco[1:]):
-        if deriv:
-            fp *= w
-            fp += f
         f *= w
         f_in += c_in
         f_out += c_out
-        if scale:
-            s *= aw
-            s_in += a_in
-            s_out += a_out
-    return inside, mi, w, f, fp, s
+        s *= aw
+        s_in += a_in
+        s_out += a_out
+    return f, s
 
 
 def log_abs_poly(p: Coefficients, z: np.ndarray) -> np.ndarray:

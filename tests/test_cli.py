@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from kacdisc import experiments
 from kacdisc.cli import dispatch
 from kacdisc.polynomials import Coefficients
 
@@ -74,6 +75,35 @@ def test_sample_degree_below_one_is_usage_error(capsys):
     rc, _, err = run(capsys, "sample", "--n", "0")
     assert rc == 1
     assert err == "usage error: --n must be >= 1\n"
+
+
+def _one_line_error(rc, out, err):
+    return (rc == 1 and out == "" and len(err.strip().splitlines()) == 1
+            and "Traceback" not in err)
+
+
+def test_disc_degree_one_is_usage_error(capsys):
+    rc, out, err = run(capsys, "disc", "--coeffs=1,2")
+    assert _one_line_error(rc, out, err)
+    assert err == "usage error: disc needs degree >= 2\n"
+
+
+@pytest.mark.parametrize("name", ["lln", "symmetry", "kacrice"])
+def test_experiment_degree_one_fails_before_any_trial(capsys, monkeypatch,
+                                                      name):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_trials", no_trials)
+    rc, out, err = run(capsys, name, "--n", "1", "--trials", "2")
+    assert _one_line_error(rc, out, err)
+    assert err.startswith("error:") and "n=1" in err
+
+
+def test_constants_table_degree_below_two_is_usage_error(capsys):
+    rc, out, err = run(capsys, "constants", "--table", "1", "--table-n", "0")
+    assert _one_line_error(rc, out, err)
+    assert err.startswith("usage error: --table/--table-n:")
 
 
 def test_disc_total_log4(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacdisc.errors import EmptyInputError
+from kacdisc.errors import ConfigurationError, EmptyInputError
 from kacdisc.experiments import (ExperimentConfig, SummaryStats,
                                  _circle_value_and_slope,
                                  _refine_circle_minimum, ks_two_sample,
@@ -301,6 +301,16 @@ def test_min_modulus_scaling_and_tail():
 def test_kacrice_requires_complex_gaussian():
     with pytest.raises(ValueError):
         run_kacrice_gaussian(config())
+
+
+@pytest.mark.parametrize("kw", [dict(n_ladder=(2,)), dict(n_ladder=(50, 150)),
+                                dict(n_ladder=(150,), trials=1)])
+def test_kacrice_rejects_configs_without_a_gap(kw):
+    # n < 97 has no Kac-Rice reference (T_n undefined or beyond log^4 n);
+    # one trial has no standard error
+    gc = CoefficientDistribution(GAUSSIAN_COMPLEX)
+    with pytest.raises(ConfigurationError):
+        run_kacrice_gaussian(config(dist=gc, **kw))
 
 
 def test_kacrice_small_run():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,10 @@ from kacdisc.errors import (DegenerateDegreeError, DegenerateReciprocalError,
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
-                                 circle_extremes, circle_values, evaluate,
-                                 log_abs_deriv, log_abs_poly, newton_ratio,
-                                 reciprocal, relative_residual, sample_kac)
+                                 _stacked_horner, circle_extremes,
+                                 circle_values, evaluate, log_abs_deriv,
+                                 log_abs_poly, newton_ratio, reciprocal,
+                                 relative_residual, sample_kac)
 
 
 def coeffs(*vals):
@@ -160,8 +162,9 @@ def test_log_abs_helpers_match_direct_eval():
         assert abs(rr - abs(r.f) / r.scale) < 1e-12
 
 
-# Two-pass Horner references: one Python loop over the points inside the
-# unit circle, another over the reversed polynomial at 1/z outside it.
+# Two-pass Horner reference for the residual certificate: one Python loop
+# over the points inside the unit circle, another over the reversed
+# polynomial at 1/z outside it.
 
 def _ref_split(z):
     inside = np.abs(z) <= 1.0
@@ -173,51 +176,6 @@ def _ref_horner_value(coeffs, z):
     for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
-
-
-def _ref_newton_ratio(p, z):
-    n = p.degree
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    inside, outside = _ref_split(z)
-    if inside.any():
-        zi = z[inside]
-        b = np.full_like(zi, p.coeffs[-1])
-        d = np.zeros_like(zi)
-        for c in p.coeffs[-2::-1]:
-            d = d * zi + b
-            b = b * zi + c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[inside] = b / d
-    if outside.any():
-        u = 1.0 / z[outside]
-        rev = p.coeffs[::-1]
-        qb = np.full_like(u, rev[-1])
-        qd = np.zeros_like(u)
-        for c in rev[-2::-1]:
-            qd = qd * u + qb
-            qb = qb * u + c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[outside] = qb / (u * (n * qb - u * qd))
-    return out
-
-
-def _ref_log_abs(coeffs, z, degree):
-    out = np.empty(z.shape, dtype=np.float64)
-    inside, outside = _ref_split(z)
-    with np.errstate(divide="ignore"):
-        if inside.any():
-            out[inside] = np.log(np.abs(_ref_horner_value(coeffs, z[inside])))
-        if outside.any():
-            u = 1.0 / z[outside]
-            out[outside] = (degree * np.log(np.abs(z[outside]))
-                            + np.log(np.abs(_ref_horner_value(coeffs[::-1], u))))
-    return out
-
-
-def _ref_log_abs_deriv(p, z):
-    dcoeffs = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    return _ref_log_abs(dcoeffs, z, p.degree - 1)
 
 
 def _ref_relative_residual(p, z):
@@ -239,25 +197,171 @@ def _ref_relative_residual(p, z):
     return out
 
 
-@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
-@pytest.mark.parametrize("n", [1, 7, 128, 800])
-@pytest.mark.parametrize("where", ["inside", "outside", "mixed"])
-def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
-    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+KERNEL_KINDS = [RADEMACHER, GAUSSIAN_COMPLEX]
+# degree 1 and 2, n + 1 = 144 a perfect square and n + 1 = 145 one past it
+KERNEL_DEGREES = [1, 2, 7, 128, 143, 144, 800]
+KERNEL_WHERES = ["inside", "outside", "mixed", "circle"]
+
+
+def _kernel_points(n, where, m):
     rng = np.random.default_rng(n)
+    if where == "circle":
+        # |e^(i theta)| rounds to either side of 1, so both halves of the
+        # kernel's split see points on the circle
+        z = np.exp(2j * np.pi * rng.random(m))
+        z[:4] = [1.0, -1.0, 1j, -1j]
+        return z
     lo, hi = {"inside": (0.0, 1.0), "outside": (1.0 + 1e-9, 3.0),
               "mixed": (0.9, 1.1)}[where]
-    z = rng.uniform(lo, hi, 301) * np.exp(2j * np.pi * rng.random(301))
+    z = rng.uniform(lo, hi, m) * np.exp(2j * np.pi * rng.random(m))
+    if where == "inside":
+        z[0] = 0.0
     if where == "mixed":
         # exact circle points, real points and zero take the inside branch
         z[:4] = [1.0, -1.0, 1j, 0.0]
         z[4:8] = z[4:8].real
-    for got, ref in ((newton_ratio(p, z), _ref_newton_ratio(p, z)),
-                     (log_abs_deriv(p, z), _ref_log_abs_deriv(p, z)),
-                     (log_abs_poly(p, z), _ref_log_abs(p.coeffs, z, n)),
-                     (relative_residual(p, z), _ref_relative_residual(p, z))):
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+    return z
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+@pytest.mark.parametrize("where", KERNEL_WHERES)
+def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
+    # the residual certificate keeps the plain Horner loop
+    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    z = _kernel_points(n, where, 301)
+    got, ref = relative_residual(p, z), _ref_relative_residual(p, z)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+# Forward-error bound of the blocked evaluation (polynomials._blocked_values)
+# in the standard model of floating-point arithmetic: u = 2^-53 and
+# gamma_k = k u / (1 - k u), with (1 + theta_a)(1 + theta_b) = 1 + theta_(a+b)
+# (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1,
+# 3.6).  A complex product has relative error below sqrt(2) gamma_2 <
+# gamma_3 and a complex sum below u.  With B = ceil(sqrt(n + 1)) the term
+# a_i w^i, i = kB + j, passes through
+#   the power table entry w^j, j - 1 products by w     gamma_(3j)
+#   the product with a_i                               gamma_3
+#   the sum of the B terms of its block                gamma_(B-1)
+#   (w^B)^k, with w^B made by B - 1 products           gamma_(3(B-1)k)
+#   k Horner products and at most k + 1 sums           gamma_(4k+1)
+# so |computed - exact| <= sum_i gamma_(3i + k + B + 3) |a_i| |w|^i.
+# The derivative coefficients (i+1) a_(i+1) are rounded once more: +1.
+# Outside the circle the kernel evaluates at w = fl(1/z) = (1 + d)/z.
+# numpy divides by Smith's formula; for 1/z that is a quotient, a product,
+# a sum of like signs and a reciprocal for the real part and one more
+# quotient and product for the imaginary part, so |d| <= gamma_6, and
+# a_i w^i moves by the factor (1 + d)^i: +6i.  The bound is first order:
+# it takes |w| from the computed point.
+_U = 2.0 ** -53
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _blocked_bound(a, absw, nb, extra, outside):
+    """sum_i gamma_(k_i) |a_i| |w|^i per point, k_i as derived above."""
+    i = np.arange(a.size)
+    k = 3 * i + i // nb + nb + 3 + extra + (6 * i if outside else 0)
+    return (np.abs(a) * _gamma(k) * absw[:, None] ** i).sum(axis=1)
+
+
+def _ceil_sqrt(m):
+    r = math.isqrt(m)
+    return r if r * r == m else r + 1
+
+
+# A complex quotient x / y by Smith's formula: each component is within
+# gamma_8 (|Re x| + |Im x|) / |y| of exact, so the quotient is within
+# 2 gamma_8 <= gamma_16 relative.  With |x^ - x| <= ex and |y^ - y| <= ey < |y|:
+#   |x^/y^ (1 + delta) - x/y| <= (|x| gamma_16 + ex (1 + gamma_16)
+#                                 + |x| ey / |y|) / (|y| - ey).
+def _quotient_bound(ax, ex, ay, ey):
+    g = _gamma(16)
+    return (ax * g + ex * (1.0 + g) + ax * ey / ay) / (ay - ey)
+
+
+# log|x^| for |x^ - x| <= e: within -log(1 - e/|x|) of log|x| when e < |x|.
+# Rounding of |.| (hypot, one ulp), of the logs, of deg * log|z| and of the
+# final sum adds at most 3u (1 + deg + |log|x|| + deg |log|z||).
+def _check_log(got, ref_frame, err, deg, logz):
+    ax = abs(ref_frame)
+    slack = 3 * _U * (1 + deg + abs(mpmath.log(ax) if ax else 0)
+                      + deg * abs(logz))
+    if err < ax:
+        ref = float(deg * logz + mpmath.log(ax))
+        assert abs(got - ref) <= -math.log1p(-err / ax) + slack, (got, ref)
+    else:
+        # the exact value may be zero: only the upper side is bounded
+        assert got <= float(deg * logz + mpmath.log(ax + err)) + slack
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+@pytest.mark.parametrize("where", KERNEL_WHERES)
+def test_blocked_kernel_within_forward_error_bound(kind, n, where):
+    """Kernel values, newton_ratio, log_abs_poly and log_abs_deriv against
+    a 50-digit mpmath reference, within the bounds derived above."""
+    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    c = p.coeffs
+    z = _kernel_points(n, where, 61)
+    inside, mi, w, f, fp, _ = _stacked_horner(c, z, deriv=True)
+
+    def stacked(x):
+        return np.concatenate([x[inside], x[~inside]])
+
+    zs, ratio = stacked(z), stacked(newton_ratio(p, z))
+    lpoly, lderiv = stacked(log_abs_poly(p, z)), stacked(log_abs_deriv(p, z))
+    mult = np.arange(1, n + 1)
+    dc = c[1:] * mult
+    nb, nbd = _ceil_sqrt(n + 1), _ceil_sqrt(n)
+    absw = np.abs(w)
+    e_f, e_fp, e_d = (np.empty(w.size) for _ in range(3))
+    for sl, outside, a, ad, dd in ((slice(0, mi), False, c, dc, dc),
+                                   (slice(mi, None), True, c[::-1],
+                                    c[-2::-1] * mult, dc[::-1])):
+        e_f[sl] = _blocked_bound(a, absw[sl], nb, 0, outside)
+        e_fp[sl] = _blocked_bound(ad, absw[sl], nb, 1, outside)
+        # log_abs_deriv runs the kernel on the derivative coefficients
+        e_d[sl] = _blocked_bound(dd, absw[sl], nbd, 1, outside)
+    # c0..cn; mpmath.polyval takes the leading coefficient first, so this
+    # list is q(u) = u^n p(1/u) and its reverse is p
+    cm = [mpmath.mpmathify(complex(x)) for x in c]
+    with mpmath.workdps(50):
+        for t in range(w.size):
+            x = mpmath.mpc(zs[t].real, zs[t].imag)
+            outside = t >= mi
+            wx = 1 / x if outside else x
+            # p and p' inside; q(u) and q'(u) at u = 1/z outside
+            F, Fp = mpmath.polyval(cm if outside else cm[::-1], wx,
+                                   derivative=True)
+            assert abs(f[t] - complex(F)) <= e_f[t]
+            assert abs(fp[t] - complex(Fp)) <= e_fp[t]
+            logz = mpmath.log(abs(x)) if outside else 0
+            _check_log(lpoly[t], F, e_f[t], n if outside else 0, logz)
+            if not outside:
+                _check_log(lderiv[t], Fp, e_d[t], 0, 0)
+                ax, ex, ay, ey = abs(F), e_f[t], abs(Fp), e_fp[t]
+                ref_ratio = F / Fp if Fp else None
+            else:
+                # D = n q - u q' = u^(n-1) p'(z), formed from q^, q'^ and
+                # w = fl(1/z): u for n q, gamma_6 (from w) + gamma_3 for
+                # u q', and u for the difference
+                D = n * F - wx * Fp
+                _check_log(lderiv[t], D, e_d[t], n - 1, logz)
+                au = abs(wx)
+                e_D = (n * e_f[t] + au * e_fp[t] + _gamma(9) * au * abs(Fp)
+                       + _U * n * abs(F) + _U * abs(D))
+                # the product u D: gamma_6 from w and gamma_3
+                ax, ex = abs(F), e_f[t]
+                ay, ey = au * abs(D), au * e_D + _gamma(9) * au * abs(D)
+                ref_ratio = F / (wx * D) if D else None
+            if ref_ratio is not None and ey < 0.5 * ay:
+                bound = _quotient_bound(float(ax), ex, float(ay), ey)
+                assert abs(ratio[t] - complex(ref_ratio)) <= bound
 
 
 def test_kernel_handles_empty_input():
