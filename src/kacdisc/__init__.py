@@ -8,7 +8,7 @@ experiments that measure the finite-n behavior.
 
 from .discriminant import (DiscriminantBreakdown, MahlerResult, decompose,
                            double_root_guard, exact_discriminant,
-                           jensen_point, log_abs_discriminant, mahler)
+                           log_abs_discriminant, mahler)
 from .errors import (AccuracyError, CircleRootError, ConfigurationError,
                      DegenerateDegreeError, DegenerateReciprocalError,
                      DoubleRootError, EmptyInputError,
@@ -22,10 +22,9 @@ from .experiments import (ExperimentConfig, ExperimentReport, SummaryStats,
 from .limits import (EULER_GAMMA, ConstantTable, KacRiceDensityPoint, S_of_t,
                      T_n, c_star, covariance_suite, d_star,
                      gaussian_log_moment, integral_phi, kac_rice_exact_mean,
-                     kac_rice_quadrature, normalization_identity_check, phi,
-                     psi_limit, s_n_suite)
-from .polynomials import (CoefficientDistribution, Coefficients, EvalResult,
-                          circle_extremes, evaluate, reciprocal, sample_kac)
+                     normalization_identity_check, phi, psi_limit, s_n_suite)
+from .polynomials import (CoefficientDistribution, Coefficients, reciprocal,
+                          sample_kac)
 from .rootfind import (RootSet, RootStats, erdos_turan_bound, find_roots,
                        root_stats)
 

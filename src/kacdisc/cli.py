@@ -132,19 +132,48 @@ def _add_experiment_flags(sp):
     sp.add_argument("--force", action="store_true")
 
 
+# JSON types of the config-file keys; flags are typed by the parser
+_CONFIG_TYPES = {"dist": dict, "n_ladder": list, "trials": int,
+                 "master_seed": int, "annulus_omega": str, "quad_factor": int,
+                 "workers": int, "allow_ineligible": bool}
+
+
+def _read_config(path: str) -> dict:
+    try:
+        base = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"unreadable config {path}: {exc}")
+    if not isinstance(base, dict):
+        raise _UsageError(f"config {path} is not a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        if key in base and type(base[key]) is not kind:
+            raise _UsageError(f"config {key} must be a JSON "
+                              f"{kind.__name__}, got {base[key]!r}")
+    if any(type(n) is not int for n in base.get("n_ladder", ())):
+        raise _UsageError(f"config n_ladder must list integers: {base['n_ladder']!r}")
+    return base
+
+
+def _distribution(kind, k) -> CoefficientDistribution:
+    # K is checked for every kind, so no manifest echoes an unusable K
+    if type(k) is not int or k < 2:
+        raise _UsageError(f"K must be an integer >= 2, got {k!r}")
+    try:
+        return CoefficientDistribution(kind=kind, k=k)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+
 def _resolve_config(args, default_dist: str) -> ExperimentConfig:
-    base = {}
-    if args.config:
-        try:
-            base = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"unreadable config {args.config}: {exc}")
-    dist_kind = _DIST_FLAGS[args.dist] if args.dist else None
-    if dist_kind is None:
-        dd = base.get("dist")
-        dist_kind = dd["kind"] if dd else default_dist
-    k = args.k if args.k is not None else base.get("dist", {}).get("k", 240)
-    dist = CoefficientDistribution(kind=dist_kind, k=k)
+    base = _read_config(args.config) if args.config else {}
+
+    def setting(flag, key, default):
+        return flag if flag is not None else base.get(key, default)
+
+    dd = base.get("dist", {})
+    kind = (_DIST_FLAGS[args.dist] if args.dist
+            else dd.get("kind") if dd else default_dist)
+    dist = _distribution(kind, args.k if args.k is not None else dd.get("k", 240))
 
     if args.n is not None:
         try:
@@ -156,25 +185,24 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
     else:
         raise _UsageError("need --n (or a config with n_ladder)")
 
-    workers = args.workers
-    if workers is None:
-        workers = base.get("workers")
+    workers = setting(args.workers, "workers", None)
     if workers is None:
         env_workers = os.environ.get("KDL_WORKERS")
         try:
             workers = int(env_workers) if env_workers else 1
         except ValueError:
             raise _UsageError(f"KDL_WORKERS must be an integer, got {env_workers!r}")
+    seed = setting(args.seed, "master_seed", 0)
+    if seed < 0:
+        raise _UsageError(f"seed must be >= 0, got {seed}")
     try:
         return ExperimentConfig(
             dist=dist, n_ladder=ladder,
-            trials=args.trials if args.trials is not None else base.get("trials", 100),
-            master_seed=args.seed if args.seed is not None else base.get("master_seed", 0),
-            annulus_omega=args.omega or base.get("annulus_omega", "log2"),
-            quad_factor=(args.quad_factor if args.quad_factor is not None
-                         else base.get("quad_factor", 16)),
+            trials=setting(args.trials, "trials", 100), master_seed=seed,
+            annulus_omega=setting(args.omega, "annulus_omega", "log2"),
+            quad_factor=setting(args.quad_factor, "quad_factor", 16),
             workers=workers,
-            allow_ineligible=bool(base.get("allow_ineligible", False)))
+            allow_ineligible=base.get("allow_ineligible", False))
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -209,7 +237,10 @@ def _cmd_constants(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
-    dist = CoefficientDistribution(kind=_DIST_FLAGS[args.dist], k=args.k or 240)
+    if args.seed < 0 or args.trial < 0:
+        raise _UsageError("--seed and --trial must be >= 0")
+    dist = _distribution(_DIST_FLAGS[args.dist],
+                         240 if args.k is None else args.k)
     p = sample_kac(dist, args.n, args.seed, args.trial)
     text = p.to_json() + "\n"
     if args.out:

@@ -234,19 +234,3 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     return MahlerResult(log_m_quadrature=log_m_quad, log_m_roots=log_m_roots,
                         points_used=quad_points,
                         nearest_root_distance_to_circle=nearest)
-
-
-def jensen_point(r: float, alpha: complex, quad_points: int) -> float:
-    """Grid mean of log|r e^(2 pi i theta) - alpha| over theta in [0,1).
-
-    Converges to log r for |alpha| < r and to log|alpha| for |alpha| > r;
-    |alpha| = r is rejected as singular.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    a = abs(alpha)
-    if abs(a - r) <= 1e-12 * r:
-        raise ValueError("singular case |alpha| = r")
-    theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    vals = np.abs(r * np.exp(1j * theta) - alpha)
-    return float(np.mean(np.log(vals)))

@@ -3,7 +3,9 @@
 Every experiment is a pure function of its configuration: per-trial RNG
 streams are derived from (master_seed, trial index) with a counter-based
 scheme, trials may run on any worker, and results are reduced in trial-index
-order, so reports are identical for any worker count.
+order, so reports are identical for any worker count.  All six runners share
+one per-n loop; each brings a trial function, its record columns, its guard
+keys and a per-n reducer.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,9 +22,10 @@ from . import limits
 from .discriminant import decompose, double_root_guard, log_abs_discriminant
 from .errors import (CircleRootError, ConfigurationError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
-from .polynomials import (GAUSSIAN_COMPLEX, CoefficientDistribution,
-                          Coefficients, _stacked_horner, circle_values,
-                          log_abs_deriv, sample_kac, trial_rng)
+from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
+                          CoefficientDistribution, Coefficients,
+                          _stacked_horner, circle_values, log_abs_deriv,
+                          sample_kac, trial_rng)
 from .rootfind import (canonical_annulus, erdos_turan_bound, find_roots,
                        omega_annulus, root_stats)
 
@@ -102,14 +106,8 @@ class SummaryStats:
     q75: float
     q95: float
 
-    CSV_COLUMNS = ("count", "mean", "std", "stderr", "min", "max",
-                   "q05", "q25", "q50", "q75", "q95")
-
-    def csv_row(self) -> str:
-        return ",".join(repr(getattr(self, c)) for c in self.CSV_COLUMNS)
-
     def to_dict(self) -> dict:
-        return {c: getattr(self, c) for c in self.CSV_COLUMNS}
+        return asdict(self)
 
 
 def summarize(values) -> SummaryStats:
@@ -190,40 +188,72 @@ def _run_trials(fn, args_list, workers: int) -> list:
         return list(ex.map(fn, args_list, chunksize=chunk))
 
 
-def _require_eligible(config: ExperimentConfig):
-    if not config.dist.theorem_eligible and not config.allow_ineligible:
-        raise ConfigurationError(
-            f"distribution {config.dist.kind!r} is not theorem-eligible "
-            "(needs mean zero, unit variance, no atom at zero)")
-
-
 _NAN = float("nan")
+
+
+def _guarded(trial, args) -> dict:
+    """One trial; a failed root solve becomes a nonconverged record."""
+    try:
+        return trial(args)
+    except NonConvergenceError:
+        _, n, t = args
+        return {"n": n, "trial": t, "status": "nonconverged"}
+
+
+def _run_experiment(config: ExperimentConfig, name: str, trial,
+                    columns: tuple, guard_keys: tuple, reduce,
+                    reference: dict) -> ExperimentReport:
+    """The per-n loop shared by every runner.
+
+    At each n of the ladder ``trial((config, n, t))`` runs for every trial
+    index t, and a record's missing columns read NaN.  Each non-ok status is
+    counted under its own guard key, and the records' ``resamples`` under
+    ``resampled`` when that key is kept.  Once more than
+    NONCONVERGENCE_BUDGET of the trials at one n failed to converge the run
+    stops; otherwise ``reduce(n, records)`` is the summary of n.
+    """
+    guards = dict.fromkeys(guard_keys, 0)
+    per_n, records = {}, []
+    for n in config.n_ladder:
+        recs = _run_trials(partial(_guarded, trial),
+                           [(config, n, t) for t in range(config.trials)],
+                           config.workers)
+        for r in recs:
+            for c in columns:
+                r.setdefault(c, _NAN)
+            if r["status"] != "ok":
+                guards[r["status"]] += 1
+        if "resampled" in guards:
+            guards["resampled"] += sum(r.get("resamples", 0) for r in recs)
+        nonconv = sum(1 for r in recs if r["status"] == "nonconverged")
+        if nonconv > NONCONVERGENCE_BUDGET * config.trials:
+            raise ExperimentIntegrityError(
+                f"{nonconv}/{config.trials} trials failed to converge at n={n}")
+        per_n[str(n)] = reduce(n, recs)
+        if config.keep_records:
+            records.extend(recs)
+    return ExperimentReport(
+        experiment=name, config=config.to_dict(), per_n=per_n,
+        reference=reference, guards=guards, record_columns=columns,
+        records=records)
 
 
 def _breakdown_trial(args) -> dict:
     """One sampled polynomial: direct-route theorem statistic plus, when no
     root sits on the unit circle, the decomposition pieces."""
-    dist, n, seed, trial, quad_points = args
-    rec = {"n": n, "trial": trial, "status": "ok", "sum_inside": _NAN,
-           "sum_outside": _NAN, "mahler_term": _NAN, "log_n_term": _NAN,
-           "total_log_abs_disc": _NAN, "statistic": _NAN,
-           "log_abs_disc_direct": _NAN}
-    try:
-        p = sample_kac(dist, n, seed, trial)
-        rs = find_roots(p)
-    except NonConvergenceError:
-        rec["status"] = "nonconverged"
-        return rec
+    config, n, trial = args
+    p = sample_kac(config.dist, n, config.master_seed, trial)
+    rs = find_roots(p)
     # one guard and one log|f'| pass serve the direct route and the split
     logfp = log_abs_deriv(p, rs.roots)
     if double_root_guard(rs, p, logfp):
-        rec["status"] = "double_root"
-        return rec
+        return {"n": n, "trial": trial, "status": "double_root"}
     logdisc = log_abs_discriminant(p, rs, logfp)
-    rec["log_abs_disc_direct"] = logdisc
-    rec["statistic"] = (logdisc - 2 * n * math.log(n)) / n
+    rec = {"n": n, "trial": trial, "status": "ok",
+           "log_abs_disc_direct": logdisc,
+           "statistic": (logdisc - 2 * n * math.log(n)) / n}
     try:
-        br = decompose(p, rs, quad_points, logfp)
+        br = decompose(p, rs, config.quad_factor * (n + 1), logfp)
     except CircleRootError:
         # statistic still valid; only the inside/outside split is undefined
         rec["status"] = "circle_root"
@@ -238,92 +268,74 @@ def _breakdown_trial(args) -> dict:
 _BREAKDOWN_COLUMNS = ("n", "trial", "status", "sum_inside", "sum_outside",
                       "mahler_term", "log_n_term", "total_log_abs_disc",
                       "statistic", "log_abs_disc_direct")
+_BREAKDOWN_GUARDS = ("double_root", "circle_root", "nonconverged", "resampled")
 
 
-def _collect_breakdowns(config: ExperimentConfig):
-    """Shared engine for the discriminant-statistic experiments."""
+def _require_breakdown_domain(config: ExperimentConfig):
+    """The discriminant-statistic runners need a theorem-eligible law (unless
+    allowed) and degree >= 2."""
+    if not config.dist.theorem_eligible and not config.allow_ineligible:
+        raise ConfigurationError(
+            f"distribution {config.dist.kind!r} is not theorem-eligible "
+            "(needs mean zero, unit variance, no atom at zero)")
     if config.n_ladder[0] < 2:
         raise ConfigurationError(
             "the discriminant decomposition needs degree >= 2, "
             f"got n={config.n_ladder[0]}")
-    per_n = {}
-    guards = {"double_root": 0, "circle_root": 0, "nonconverged": 0,
-              "resampled": 0}
-    records = []
-    for n in config.n_ladder:
-        quad_points = config.quad_factor * (n + 1)
-        args = [(config.dist, n, config.master_seed, t, quad_points)
-                for t in range(config.trials)]
-        recs = _run_trials(_breakdown_trial, args, config.workers)
-        for r in recs:
-            if r["status"] != "ok":
-                guards[r["status"]] += 1
-        nonconv = sum(1 for r in recs if r["status"] == "nonconverged")
-        if nonconv > NONCONVERGENCE_BUDGET * config.trials:
-            raise ExperimentIntegrityError(
-                f"{nonconv}/{config.trials} trials failed to converge at n={n}")
-        per_n[n] = recs
-        if config.keep_records:
-            records.extend(recs)
-    return per_n, guards, records
 
 
 def run_lln(config: ExperimentConfig) -> ExperimentReport:
     """Theorem statistic (log|disc| - 2 n log n)/n per trial, summarized
     against the reference -d_star; repeated-root trials are excluded."""
-    _require_eligible(config)
-    per_n_recs, guards, records = _collect_breakdowns(config)
+    _require_breakdown_domain(config)
     dstar = limits.d_star()
-    per_n = {}
-    for n, recs in per_n_recs.items():
+
+    def reduce(n, recs):
         # on-circle roots leave the statistic valid, only the split undefined
-        vals = [r["statistic"] for r in recs
-                if r["status"] in ("ok", "circle_root")]
-        stats = summarize(vals)
-        per_n[str(n)] = {"stats": stats.to_dict(),
-                         "abs_dev_from_minus_d_star": abs(stats.mean + dstar)}
-    return ExperimentReport(
-        experiment="lln", config=config.to_dict(), per_n=per_n,
-        reference={"minus_d_star": -dstar},
-        guards=guards, record_columns=_BREAKDOWN_COLUMNS, records=records)
+        stats = summarize([r["statistic"] for r in recs
+                           if r["status"] in ("ok", "circle_root")])
+        return {"stats": stats.to_dict(),
+                "abs_dev_from_minus_d_star": abs(stats.mean + dstar)}
+
+    return _run_experiment(config, "lln", _breakdown_trial, _BREAKDOWN_COLUMNS,
+                           _BREAKDOWN_GUARDS, reduce, {"minus_d_star": -dstar})
 
 
 def run_symmetry(config: ExperimentConfig) -> ExperimentReport:
     """Inside-root vs outside-root normalized log-derivative sums compared
     in distribution across trials with a two-sample KS test."""
-    _require_eligible(config)
-    per_n_recs, guards, records = _collect_breakdowns(config)
+    _require_breakdown_domain(config)
     level = 0.01 / len(config.n_ladder)  # Bonferroni across the ladder
-    per_n = {}
-    for n, recs in per_n_recs.items():
+
+    def reduce(n, recs):
         ok = [r for r in recs if r["status"] == "ok"]
         inside = [r["sum_inside"] for r in ok]
         outside = [r["sum_outside"] for r in ok]
         d, p = ks_two_sample(inside, outside)
-        per_n[str(n)] = {"inside": summarize(inside).to_dict(),
-                         "outside": summarize(outside).to_dict(),
-                         "ks_distance": d, "ks_pvalue": p,
-                         "reject": bool(p < level)}
-    return ExperimentReport(
-        experiment="symmetry", config=config.to_dict(), per_n=per_n,
-        reference={"ks_level": 0.01, "bonferroni_level": level},
-        guards=guards, record_columns=_BREAKDOWN_COLUMNS, records=records)
+        return {"inside": summarize(inside).to_dict(),
+                "outside": summarize(outside).to_dict(),
+                "ks_distance": d, "ks_pvalue": p, "reject": bool(p < level)}
+
+    return _run_experiment(config, "symmetry", _breakdown_trial,
+                           _BREAKDOWN_COLUMNS, _BREAKDOWN_GUARDS, reduce,
+                           {"ks_level": 0.01, "bonferroni_level": level})
 
 
 def _mahler_trial(args) -> dict:
-    dist, n, seed, trial, quad_points = args
-    rng = trial_rng(seed, trial)
+    config, n, trial = args
+    quad_points = config.quad_factor * (n + 1)
+    rng = trial_rng(config.master_seed, trial)
     resamples = 0
     while True:
         if resamples > 1000:
             raise ExperimentIntegrityError(
                 "trial kept hitting the circle-minimum guard; distribution "
                 "appears degenerate")
-        draws = dist.draw(rng, n + 1)
+        draws = config.dist.draw(rng, n + 1)
         if draws[-1] == 0:
             resamples += 1
             continue
-        p = Coefficients(draws, seed_provenance=(seed, trial))
+        p = Coefficients(draws, seed_provenance=(config.master_seed, trial))
         vals = np.abs(circle_values(p.coeffs, 1.0, quad_points))
         if vals.min() < MIN_MODULUS_GUARD:
             resamples += 1
@@ -338,50 +350,39 @@ _MAHLER_COLUMNS = ("n", "trial", "status", "resamples", "statistic")
 
 def run_mahler(config: ExperimentConfig) -> ExperimentReport:
     """Per-trial circle average of log|f/sqrt(n)| against -gamma/2."""
-    guards = {"resampled": 0}
-    per_n = {}
-    records = []
-    for n in config.n_ladder:
-        quad_points = config.quad_factor * (n + 1)
-        args = [(config.dist, n, config.master_seed, t, quad_points)
-                for t in range(config.trials)]
-        recs = _run_trials(_mahler_trial, args, config.workers)
-        guards["resampled"] += sum(r["resamples"] for r in recs)
+    if config.dist.kind == RADEMACHER and config.n_ladder[0] == 1:
+        raise ConfigurationError(
+            "Rademacher mahler needs degree >= 2, got n=1: every degree-1 "
+            "root is +-1, on the unit circle")
+
+    def reduce(n, recs):
         stats = summarize([r["statistic"] for r in recs])
-        per_n[str(n)] = {
-            "stats": stats.to_dict(),
-            "abs_dev_from_minus_half_gamma":
-                abs(stats.mean + limits.EULER_GAMMA / 2.0),
-            "mahler_point_estimate": math.exp(stats.mean) * math.sqrt(n)}
-        if config.keep_records:
-            records.extend(recs)
-    return ExperimentReport(
-        experiment="mahler", config=config.to_dict(), per_n=per_n,
-        reference={"minus_half_gamma": -limits.EULER_GAMMA / 2.0},
-        guards=guards, record_columns=_MAHLER_COLUMNS, records=records)
+        return {"stats": stats.to_dict(),
+                "abs_dev_from_minus_half_gamma":
+                    abs(stats.mean + limits.EULER_GAMMA / 2.0),
+                "mahler_point_estimate": math.exp(stats.mean) * math.sqrt(n)}
+
+    return _run_experiment(config, "mahler", _mahler_trial, _MAHLER_COLUMNS,
+                           ("resampled",), reduce,
+                           {"minus_half_gamma": -limits.EULER_GAMMA / 2.0})
 
 
 def _clustering_trial(args) -> dict:
-    dist, n, seed, trial, omega, quad_points = args
-    rec = {"n": n, "trial": trial, "status": "ok"}
-    try:
-        p = sample_kac(dist, n, seed, trial)
-        rs = find_roots(p)
-    except NonConvergenceError:
-        rec["status"] = "nonconverged"
-        return rec
-    lo, hi = omega_annulus(n, omega)
+    config, n, trial = args
+    p = sample_kac(config.dist, n, config.master_seed, trial)
+    rs = find_roots(p)
+    lo, hi = omega_annulus(n, config.omega(n))
     stats = root_stats(rs, n, annuli=[(lo, hi)])
-    grid_max = float(np.max(np.abs(circle_values(p.coeffs, 1.0, quad_points))))
+    grid_max = float(np.max(np.abs(
+        circle_values(p.coeffs, 1.0, config.quad_factor * (n + 1)))))
     bound = erdos_turan_bound(p, 2.0 * grid_max)  # factor 2 covers grid slack
-    rec.update(annulus_fraction=stats.annulus_counts[(lo, hi)] / n,
-               sector_count=stats.sector_count,
-               sector_bound=bound,
-               sector_ok=bool(stats.sector_count <= bound),
-               discrepancy=stats.discrepancy,
-               inside_count=stats.inside_count,
-               outside_count=stats.outside_count)
-    return rec
+    return {"n": n, "trial": trial, "status": "ok",
+            "annulus_fraction": stats.annulus_counts[(lo, hi)] / n,
+            "sector_count": stats.sector_count, "sector_bound": bound,
+            "sector_ok": bool(stats.sector_count <= bound),
+            "discrepancy": stats.discrepancy,
+            "inside_count": stats.inside_count,
+            "outside_count": stats.outside_count}
 
 
 _CLUSTERING_COLUMNS = ("n", "trial", "status", "annulus_fraction",
@@ -392,28 +393,18 @@ _CLUSTERING_COLUMNS = ("n", "trial", "status", "annulus_fraction",
 def run_clustering(config: ExperimentConfig) -> ExperimentReport:
     """Fraction of roots in the omega(n)/n annulus, almost-real sector counts
     against the angular bound, and dyadic arc discrepancy."""
-    guards = {"nonconverged": 0}
-    per_n = {}
-    records = []
-    for n in config.n_ladder:
-        quad_points = config.quad_factor * (n + 1)
-        args = [(config.dist, n, config.master_seed, t, config.omega(n),
-                 quad_points) for t in range(config.trials)]
-        recs = _run_trials(_clustering_trial, args, config.workers)
+
+    def reduce(n, recs):
         ok = [r for r in recs if r["status"] == "ok"]
-        guards["nonconverged"] += len(recs) - len(ok)
-        if len(recs) - len(ok) > NONCONVERGENCE_BUDGET * config.trials:
-            raise ExperimentIntegrityError(f"too many failed solves at n={n}")
-        per_n[str(n)] = {
-            "annulus_fraction": summarize([r["annulus_fraction"] for r in ok]).to_dict(),
+        return {
+            "annulus_fraction":
+                summarize([r["annulus_fraction"] for r in ok]).to_dict(),
             "sector_violations": sum(1 for r in ok if not r["sector_ok"]),
             "discrepancy": summarize([r["discrepancy"] for r in ok]).to_dict()}
-        if config.keep_records:
-            records.extend(recs)
-    return ExperimentReport(
-        experiment="clustering", config=config.to_dict(), per_n=per_n,
-        reference={"omega": config.annulus_omega},
-        guards=guards, record_columns=_CLUSTERING_COLUMNS, records=records)
+
+    return _run_experiment(config, "clustering", _clustering_trial,
+                           _CLUSTERING_COLUMNS, ("nonconverged",), reduce,
+                           {"omega": config.annulus_omega})
 
 
 # Worst relative gap to a 10-step refinement over 40 trials per distribution
@@ -476,9 +467,9 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
 
 
 def _minmod_trial(args) -> dict:
-    dist, n, seed, trial, quad_points = args
-    p = sample_kac(dist, n, seed, trial)
-    mags = np.abs(circle_values(p.coeffs, 1.0, quad_points))
+    config, n, trial = args
+    p = sample_kac(config.dist, n, config.master_seed, trial)
+    mags = np.abs(circle_values(p.coeffs, 1.0, config.quad_factor * (n + 1)))
     refined = _refine_circle_minimum(p.coeffs, mags)
     return {"n": n, "trial": trial, "status": "ok",
             "statistic": math.sqrt(n) * float(mags.min()),
@@ -495,45 +486,32 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
     each candidate dip by Gauss-Newton steps, which is the version whose
     law actually stabilizes as n grows.
     """
-    per_n = {}
-    records = []
-    for n in config.n_ladder:
-        quad_points = config.quad_factor * (n + 1)
-        args = [(config.dist, n, config.master_seed, t, quad_points)
-                for t in range(config.trials)]
-        recs = _run_trials(_minmod_trial, args, config.workers)
+
+    def reduce(n, recs):
         vals = [r["statistic"] for r in recs]
         refined = [r["statistic_refined"] for r in recs]
-        per_n[str(n)] = {
+        return {
             "stats": summarize(vals).to_dict(),
             "stats_refined": summarize(refined).to_dict(),
             "fraction_below_one_over_n":
                 sum(1 for v in vals if v < n ** -0.5) / len(vals),
             "fraction_refined_below_one_over_n":
                 sum(1 for v in refined if v < n ** -0.5) / len(refined)}
-        if config.keep_records:
-            records.extend(recs)
-    return ExperimentReport(
-        experiment="min_modulus", config=config.to_dict(), per_n=per_n,
-        reference={}, guards={}, record_columns=_MINMOD_COLUMNS,
-        records=records)
+
+    return _run_experiment(config, "min_modulus", _minmod_trial,
+                           _MINMOD_COLUMNS, (), reduce, {})
 
 
 def _kacrice_trial(args) -> dict:
-    dist, n, seed, trial = args
-    rec = {"n": n, "trial": trial, "status": "ok"}
-    try:
-        p = sample_kac(dist, n, seed, trial)
-        rs = find_roots(p)
-    except NonConvergenceError:
-        rec["status"] = "nonconverged"
-        return rec
+    config, n, trial = args
+    p = sample_kac(config.dist, n, config.master_seed, trial)
+    rs = find_roots(p)
     lo, hi = canonical_annulus(n)
     mod = np.abs(rs.roots)
     sel = (mod >= lo) & (mod <= hi)
     logfp = log_abs_deriv(p, rs.roots[sel])
-    rec["statistic"] = float(np.sum(logfp - 1.5 * math.log(n))) / n
-    return rec
+    return {"n": n, "trial": trial, "status": "ok",
+            "statistic": float(np.sum(logfp - 1.5 * math.log(n))) / n}
 
 
 _KACRICE_COLUMNS = ("n", "trial", "status", "statistic")
@@ -543,11 +521,11 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo annulus sum (1/n) sum log|g'(alpha)/n^1.5| for the
     complex-Gaussian model against its Kac-Rice value.
 
-    ``quadrature`` is the density route 2 int_0^{T_n} psi e^{-2t/n} dt
-    (limits.kac_rice_quadrature) and ``quadrature_conditional`` the direct
-    conditional-moment value (limits.kac_rice_exact_mean).  With the true
-    conditional variance both are one integral, so the report carries the
-    same value, and the same gap in standard errors, under both names.
+    ``quadrature`` is the density route 2 int_0^{T_n} psi e^{-2t/n} dt and
+    ``quadrature_conditional`` the direct conditional-moment value
+    (limits.kac_rice_exact_mean).  With the true conditional variance both
+    are one integral, so the report carries the same value, and the same gap
+    in standard errors, under both names.
     """
     if config.dist.kind != GAUSSIAN_COMPLEX:
         raise ConfigurationError(
@@ -561,29 +539,14 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
         except ValueError as exc:
             raise ConfigurationError(
                 f"no Kac-Rice reference value at n={n}: {exc}") from None
-    guards = {"nonconverged": 0}
-    per_n = {}
-    records = []
-    for n in config.n_ladder:
-        args = [(config.dist, n, config.master_seed, t)
-                for t in range(config.trials)]
-        recs = _run_trials(_kacrice_trial, args, config.workers)
-        ok = [r for r in recs if r["status"] == "ok"]
-        guards["nonconverged"] += len(recs) - len(ok)
-        if len(recs) - len(ok) > NONCONVERGENCE_BUDGET * config.trials:
-            raise ExperimentIntegrityError(f"too many failed solves at n={n}")
-        stats = summarize([r["statistic"] for r in ok])
+
+    def reduce(n, recs):
+        stats = summarize([r["statistic"] for r in recs if r["status"] == "ok"])
         quad = quads[n]
         gap = abs(stats.mean - quad) / stats.stderr
-        per_n[str(n)] = {
-            "stats": stats.to_dict(),
-            "quadrature": quad,
-            "quadrature_conditional": quad,
-            "gap_in_se": gap,
-            "gap_conditional_in_se": gap}
-        if config.keep_records:
-            records.extend(recs)
-    return ExperimentReport(
-        experiment="kacrice", config=config.to_dict(), per_n=per_n,
-        reference={}, guards=guards, record_columns=_KACRICE_COLUMNS,
-        records=records)
+        return {"stats": stats.to_dict(), "quadrature": quad,
+                "quadrature_conditional": quad, "gap_in_se": gap,
+                "gap_conditional_in_se": gap}
+
+    return _run_experiment(config, "kacrice", _kacrice_trial,
+                           _KACRICE_COLUMNS, ("nonconverged",), reduce, {})

@@ -297,13 +297,3 @@ def kac_rice_exact_mean(n: int) -> float:
         return (v / pt.s0) * (math.log(v) + 2.0 * t / n + c)
     val, _ = _quad(integrand, 0.0, T_n(n), limit=400)
     return float(val)
-
-
-def kac_rice_quadrature(n: int) -> float:
-    """The density route 2 int_0^{T_n} psi e^{-2t/n} dt, with psi built from
-    the true conditional variance e^{2t/n} s_tilde / 4 of the normalized
-    derivative at a zero.  (psi_n of s_n_suite uses s_tilde itself, a
-    factor 4 too large for this purpose.)  That is the integral evaluated by
-    kac_rice_exact_mean, so this returns its value.
-    """
-    return kac_rice_exact_mean(n)

@@ -27,9 +27,6 @@ FIXED = "fixed"
 KINDS = (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX,
          UNIFORM_INT_CENTERED, UNIFORM_INT_RAW, FIXED)
 
-# Degrees above this use compensated (Kahan) accumulation in Horner loops.
-COMPENSATION_THRESHOLD = 512
-
 
 @dataclass(frozen=True)
 class CoefficientDistribution:
@@ -52,15 +49,6 @@ class CoefficientDistribution:
             raise ValueError("uniform integer kinds need k >= 2")
         if self.kind == FIXED and not self.coeffs:
             raise ValueError("fixed kind needs explicit coefficients")
-
-    @property
-    def is_complex(self) -> bool:
-        return self.kind == GAUSSIAN_COMPLEX
-
-    @property
-    def mean_zero_unit_variance(self) -> bool:
-        return self.kind in (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX,
-                             UNIFORM_INT_CENTERED)
 
     @property
     def theorem_eligible(self) -> bool:
@@ -149,19 +137,6 @@ class Coefficients:
         return cls(arr)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Value and first two derivatives at a point, plus a magnitude scale.
-
-    ``scale`` is sum_k |c_k| |z|^k, the natural normalizer for residuals.
-    """
-
-    f: complex
-    fp: complex
-    fpp: complex
-    scale: float
-
-
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-derived stream for one trial: independent of scheduling order."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
@@ -182,53 +157,6 @@ def sample_kac(dist: CoefficientDistribution, n: int, master_seed: int,
     if draws[-1] == 0:
         raise DegenerateDegreeError("terminal coefficient draw was zero")
     return Coefficients(draws, seed_provenance=(master_seed, trial))
-
-
-def _horner3(coeffs: np.ndarray, z, compensated: bool):
-    """One pass computing p(z), p'(z), p''(z)/2 (returned as p'') and scale."""
-    b = coeffs[-1] * np.ones_like(z)
-    d = np.zeros_like(b)
-    e = np.zeros_like(b)
-    az = np.abs(z)
-    s = np.abs(coeffs[-1]) * np.ones_like(az)
-    if not compensated:
-        for c in coeffs[-2::-1]:
-            e = e * z + d
-            d = d * z + b
-            b = b * z + c
-            s = s * az + abs(c)
-    else:
-        cb = np.zeros_like(b)
-        cd = np.zeros_like(b)
-        ce = np.zeros_like(b)
-        for c in coeffs[-2::-1]:
-            # Kahan-compensated additions on each accumulator
-            t = e * z
-            y = d - ce
-            e = t + y
-            ce = (e - t) - y
-            t = d * z
-            y = b - cd
-            d = t + y
-            cd = (d - t) - y
-            t = b * z
-            y = c - cb
-            b = t + y
-            cb = (b - t) - y
-            s = s * az + abs(c)
-    return b, d, 2.0 * e, s
-
-
-def evaluate(p: Coefficients, z: complex) -> EvalResult:
-    """Horner evaluation of f, f', f'' at z with a residual scale.
-
-    Intended for |z| up to about 1 + O(1/degree); for much larger |z| the
-    scale can overflow while the log-space helpers below stay finite.
-    """
-    z = complex(z)
-    comp = p.degree > COMPENSATION_THRESHOLD
-    f, fp, fpp, s = _horner3(p.coeffs, np.complex128(z), comp)
-    return EvalResult(complex(f), complex(fp), complex(fpp), float(s))
 
 
 def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False,
@@ -393,14 +321,6 @@ def reciprocal(p: Coefficients) -> Coefficients:
     return Coefficients(np.array(p.coeffs[::-1]), seed_provenance="manual")
 
 
-def derivative_coefficients(p: Coefficients, order: int) -> np.ndarray:
-    """Ascending coefficients of the order-th derivative."""
-    c = np.array(p.coeffs)
-    for _ in range(order):
-        c = c[1:] * np.arange(1, c.size)
-    return c
-
-
 def circle_values(coeffs: np.ndarray, radius: float, grid_points: int) -> np.ndarray:
     """Values of the polynomial on the uniform angular grid at given radius.
 
@@ -409,20 +329,3 @@ def circle_values(coeffs: np.ndarray, radius: float, grid_points: int) -> np.nda
     """
     scaled = np.asarray(coeffs, dtype=np.complex128) * (radius ** np.arange(coeffs.size))
     return np.fft.ifft(scaled, grid_points) * grid_points
-
-
-def circle_extremes(p: Coefficients, radius: float, grid_points: int,
-                    deriv_order: int = 0):
-    """Grid max/min of |f^(deriv_order)| on the circle of given radius.
-
-    Returns (max, min, argmin_angle).  This is a grid approximation, not a
-    certified global extremum.
-    """
-    if deriv_order not in (0, 1, 2):
-        raise ValueError("deriv_order must be 0, 1 or 2")
-    if grid_points < 16 * (p.degree + 1):
-        raise ValueError("grid_points must be at least 16*(degree+1)")
-    c = derivative_coefficients(p, deriv_order)
-    mags = np.abs(circle_values(c, radius, grid_points))
-    jmin = int(np.argmin(mags))
-    return float(mags.max()), float(mags.min()), 2.0 * math.pi * jmin / grid_points

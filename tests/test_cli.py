@@ -88,16 +88,49 @@ def test_disc_degree_one_is_usage_error(capsys):
     assert err == "usage error: disc needs degree >= 2\n"
 
 
-@pytest.mark.parametrize("name", ["lln", "symmetry", "kacrice"])
+def _no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("name", ["lln", "symmetry", "kacrice", "mahler"])
 def test_experiment_degree_one_fails_before_any_trial(capsys, monkeypatch,
                                                       name):
-    def no_trials(*args):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(experiments, "_run_trials", no_trials)
+    monkeypatch.setattr(experiments, "_run_trials", _no_trials)
     rc, out, err = run(capsys, name, "--n", "1", "--trials", "2")
     assert _one_line_error(rc, out, err)
     assert err.startswith("error:") and "n=1" in err
+
+
+def test_mahler_degree_one_runs_for_gaussian(capsys):
+    rc, _, _ = run(capsys, "mahler", "--dist", "gaussian-real", "--n", "1",
+                   "--trials", "2")
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["lln", "--dist", "uniform-int-centered", "--K", "1", "--n", "8"], None),
+    (["lln", "--n", "8", "--seed", "-1"], None),
+    (["lln"], {"dist": {"kind": "bogus"}, "n_ladder": [8]}),
+    (["lln"], {"trials": "x", "n_ladder": [8]}),
+    (["lln"], {"n_ladder": "16"}),
+    (["lln"], {"n_ladder": [8], "allow_ineligible": "false"}),
+    (["lln"], [8, 16]),
+    (["sample", "--n", "3", "--dist", "uniform-int-centered", "--K", "1"], None),
+    (["sample", "--n", "3", "--K", "0"], None),
+    (["sample", "--n", "3", "--seed", "-1"], None),
+    (["sample", "--n", "3", "--trial", "-1"], None),
+], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
+        "string-ladder", "string-flag", "list-config", "sample-K-1",
+        "sample-K-0", "sample-negative-seed", "sample-negative-trial"])
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
+    monkeypatch.setattr(experiments, "_run_trials", _no_trials)
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert _one_line_error(rc, out, err)
+    assert err.startswith("usage error:")
 
 
 def test_constants_table_degree_below_two_is_usage_error(capsys):

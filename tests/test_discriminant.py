@@ -5,7 +5,7 @@ import pytest
 
 from kacdisc.discriminant import (DiscriminantBreakdown, decompose,
                                   double_root_guard, exact_discriminant,
-                                  jensen_point, log_abs_discriminant, mahler)
+                                  log_abs_discriminant, mahler)
 from kacdisc.errors import CircleRootError, DoubleRootError, OracleCapError
 from kacdisc.polynomials import (RADEMACHER, CoefficientDistribution,
                                  Coefficients, reciprocal, sample_kac)
@@ -162,19 +162,6 @@ def test_mahler_cross_route_degree50():
             continue
         assert abs(res.log_m_quadrature - res.log_m_roots) <= 1e-6
         done += 1
-
-
-# ------------------------------------------------------------------ Jensen
-
-def test_jensen_point_values():
-    assert abs(jensen_point(1.0, 0.5, 4096)) < 1e-12
-    assert abs(jensen_point(1.0, 2.0, 4096) - math.log(2)) < 1e-12
-    assert abs(jensen_point(0.5, 0.1, 4096) - math.log(0.5)) < 1e-12
-
-
-def test_jensen_point_singular():
-    with pytest.raises(ValueError):
-        jensen_point(1.0, 1.0, 4096)
 
 
 # ------------------------------------------------------------- root guards

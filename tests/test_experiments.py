@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacdisc.errors import ConfigurationError, EmptyInputError
-from kacdisc.experiments import (ExperimentConfig, SummaryStats,
-                                 _circle_value_and_slope,
+from kacdisc import experiments
+from kacdisc.errors import (ConfigurationError, EmptyInputError,
+                            ExperimentIntegrityError, NonConvergenceError)
+from kacdisc.experiments import (ExperimentConfig, _circle_value_and_slope,
                                  _refine_circle_minimum, ks_two_sample,
-                                 run_kacrice_gaussian, run_lln, run_mahler,
-                                 run_min_modulus, run_symmetry, summarize)
+                                 run_clustering, run_kacrice_gaussian,
+                                 run_lln, run_mahler, run_min_modulus,
+                                 run_symmetry, summarize)
 from kacdisc.limits import EULER_GAMMA
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
                                  CoefficientDistribution, circle_values,
@@ -46,13 +48,6 @@ def test_summarize_invariants(vals):
     s = summarize(vals)
     assert s.min <= s.q05 <= s.q25 <= s.q50 <= s.q75 <= s.q95 <= s.max
     assert s.stderr == pytest.approx(s.std / math.sqrt(s.count))
-
-
-def test_summary_csv_columns():
-    s = summarize([1.0, 2.0])
-    row = s.csv_row().split(",")
-    assert len(row) == len(SummaryStats.CSV_COLUMNS) == 11
-    assert float(row[1]) == s.mean
 
 
 # ---------------------------------------------------------------------- KS
@@ -144,20 +139,62 @@ def test_lln_statistic_plumbing():
                                     - 2 * n * math.log(n)) / n
 
 
-def test_report_determinism_and_worker_independence():
-    c1 = config(n_ladder=(18, 24), trials=6, workers=1)
-    c2 = config(n_ladder=(18, 24), trials=6, workers=2)
-    r1a = run_lln(c1)
-    r1b = run_lln(c1)
-    r2 = run_lln(c2)
+@pytest.mark.parametrize("run,kw", [
+    (run_lln, dict(n_ladder=(18, 24))),
+    (run_symmetry, dict(n_ladder=(18, 24))),
+    (run_mahler, dict(n_ladder=(16, 24))),
+    (run_clustering, dict(n_ladder=(40, 80), trials=4)),
+    (run_min_modulus, dict(n_ladder=(16, 32))),
+    (run_kacrice_gaussian, dict(dist=CoefficientDistribution(GAUSSIAN_COMPLEX),
+                                n_ladder=(97, 128), trials=4)),
+], ids=["lln", "symmetry", "mahler", "clustering", "minmod", "kacrice"])
+def test_report_determinism_and_worker_independence(run, kw):
+    c1 = config(workers=1, **kw)
+    c2 = config(workers=2, **kw)
+    r1a = run(c1)
+    r1b = run(c1)
+    r2 = run(c2)
     assert r1a.to_json() == r1b.to_json()
     assert r1a.records == r2.records
+    assert [(r["n"], r["trial"]) for r in r1a.records] == \
+        [(n, t) for n in c1.n_ladder for t in range(c1.trials)]
+    assert all(set(r) == set(r1a.record_columns) for r in r1a.records)
     # config echo differs only in the worker count
     p1 = json.loads(r1a.to_json())
     p2 = json.loads(r2.to_json())
     p1["config"].pop("workers")
     p2["config"].pop("workers")
     assert p1 == p2
+
+
+@pytest.mark.parametrize("run,kw", [
+    (run_lln, {}), (run_clustering, {}),
+    (run_kacrice_gaussian, dict(dist=CoefficientDistribution(GAUSSIAN_COMPLEX),
+                                n_ladder=(97,)))],
+    ids=["lln", "clustering", "kacrice"])
+def test_nonconvergence_budget(monkeypatch, run, kw):
+    # trials below ``failing`` fail to converge; 1 in 100 is within the 1%
+    # budget and counted, 2 in 100 stop the run
+    failing = [1]
+    real_sample = experiments.sample_kac
+
+    def flaky(dist, n, seed, trial):
+        if trial < failing[0]:
+            raise NonConvergenceError("injected", 1.0)
+        return real_sample(dist, n, seed, trial)
+
+    monkeypatch.setattr(experiments, "sample_kac", flaky)
+    rep = run(config(trials=100, **kw))
+    assert rep.guards["nonconverged"] == 1
+    assert rep.records[0]["status"] == "nonconverged"
+    # the failed trial's record carries every column, as NaN
+    assert set(rep.records[0]) == set(rep.record_columns)
+    assert math.isnan(rep.records[0][rep.record_columns[-1]])
+    assert rep.records_csv().count("\n") == 101
+    failing[0] = 2
+    with pytest.raises(ExperimentIntegrityError,
+                       match=r"^2/100 trials failed to converge at n=\d+$"):
+        run(config(trials=100, **kw))
 
 
 def test_mahler_runner_gaussian():
@@ -266,7 +303,6 @@ def test_symmetry_gaussian_real():
 
 
 def test_clustering_fraction_trend():
-    from kacdisc.experiments import run_clustering
     rep = run_clustering(config(n_ladder=(300, 700, 1500), trials=10))
     fracs = [rep.per_n[str(n)]["annulus_fraction"]["mean"]
              for n in (300, 700, 1500)]
@@ -277,7 +313,6 @@ def test_clustering_fraction_trend():
 
 
 def test_clustering_constructed_circle_roots():
-    from kacdisc.experiments import run_clustering
     # x^n - 1 has every root on the unit circle
     fixed = CoefficientDistribution("fixed", coeffs=(-1.0,) + (0.0,) * 15 + (1.0,))
     rep = run_clustering(config(dist=fixed, n_ladder=(16,), trials=1))
