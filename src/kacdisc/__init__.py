@@ -9,7 +9,7 @@ experiments that measure the finite-n behavior.
 from .discriminant import (DiscriminantBreakdown, MahlerResult, decompose,
                            double_root_guard, exact_discriminant,
                            log_abs_discriminant, mahler)
-from .errors import (AccuracyError, CircleRootError, ConfigurationError,
+from .errors import (AccuracyError, ConfigurationError,
                      DegenerateDegreeError, DegenerateReciprocalError,
                      DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, GridCollisionError,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, limits
-from .discriminant import (DiscriminantBreakdown, decompose,
-                           log_abs_discriminant)
-from .errors import CircleRootError, ExperimentIntegrityError, KacdiscError
+from .discriminant import decompose
+from .errors import ExperimentIntegrityError, KacdiscError
 from .experiments import ExperimentConfig, ExperimentReport
 from .polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                           UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
@@ -103,7 +101,11 @@ def _parse_coeffs(args) -> Coefficients:
             text = Path(args.coeffs_file).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read {args.coeffs_file}: {exc}")
-        return Coefficients.from_json(text)
+        try:
+            return Coefficients.from_json(text)
+        except (ValueError, TypeError, IndexError, KeyError) as exc:
+            raise _UsageError(f"{args.coeffs_file} is not a coefficient file "
+                              f"({type(exc).__name__}: {exc})")
     if args.coeffs is None:
         raise _UsageError("need --coeffs or --coeffs-file")
     try:
@@ -219,7 +221,10 @@ def _cmd_constants(args) -> int:
                      limits.s_n_suite(args.table_n, t).psi_n) for t in ts]
         except ValueError as exc:
             raise _UsageError(f"--table/--table-n: {exc}")
-    table = limits.ConstantTable.compute(tol=args.tol)
+    try:
+        table = limits.ConstantTable.compute(tol=args.tol)
+    except ValueError as exc:
+        raise _UsageError(f"--tol: {exc}")
     off = table.d_star - D_STAR_REFERENCE
     verdict = "ok" if abs(off) <= D_STAR_REFERENCE_TOL else f"off by {off:+.6f}"
     print(f"gamma        = {table.gamma!r}")
@@ -256,6 +261,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    if not args.tol > 0:
+        raise _UsageError(f"--tol must be > 0, got {args.tol!r}")
     p = _parse_coeffs(args)
     rs = find_roots(p, tol=args.tol)
     text = rs.to_jsonl()
@@ -272,22 +279,12 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    if args.quad_factor < 16:
+        raise _UsageError(f"--quad-factor must be >= 16, got {args.quad_factor}")
     p = _parse_coeffs(args)
     if p.degree < 2:
         raise _UsageError("disc needs degree >= 2")
-    rs = find_roots(p)
-    quad_points = args.quad_factor * (p.degree + 1)
-    try:
-        br = decompose(p, rs, quad_points)
-    except CircleRootError:
-        # roots on the unit circle leave the split undefined but not the total
-        n = p.degree
-        total = log_abs_discriminant(p, rs)
-        nan = float("nan")
-        br = DiscriminantBreakdown(
-            n=n, sum_inside=nan, sum_outside=nan, mahler_term=nan,
-            log_n_term=(2 * n - 1) * math.log(n), total_log_abs_disc=total,
-            theorem_statistic=(total - 2 * n * math.log(n)) / n)
+    br = decompose(p, find_roots(p), args.quad_factor * (p.degree + 1))
     header = "n,sum_inside,sum_outside,mahler_term,log_n_term,total_log_abs_disc,theorem_statistic"
     text = header + "\n" + br.csv_row() + "\n"
     if args.out:

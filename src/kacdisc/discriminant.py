@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CircleRootError, DoubleRootError, GridCollisionError,
-                     OracleCapError)
+from .errors import DoubleRootError, GridCollisionError, OracleCapError
 from .polynomials import Coefficients, circle_values, log_abs_deriv
 from .rootfind import ON_CIRCLE_GUARD, RootSet, close_root_pairs
 
@@ -32,7 +31,8 @@ class DiscriminantBreakdown:
     """The three additive pieces of log|disc| plus normalization terms.
 
     total = sum_inside + sum_outside + mahler_term + log_n_term, and
-    theorem_statistic = (total - 2 n log n) / n.
+    theorem_statistic = (total - 2 n log n) / n.  ``log_abs_disc_direct`` is
+    (n-2) log|c_n| + sum_j log|f'(alpha_j)|, the total when the pieces are NaN.
     """
 
     n: int
@@ -42,6 +42,7 @@ class DiscriminantBreakdown:
     log_n_term: float
     total_log_abs_disc: float
     theorem_statistic: float
+    log_abs_disc_direct: float
 
     def csv_row(self) -> str:
         fields = (self.n, self.sum_inside, self.sum_outside, self.mahler_term,
@@ -59,49 +60,36 @@ class MahlerResult:
     nearest_root_distance_to_circle: float
 
 
-def double_root_guard(rs: RootSet, p: Coefficients,
-                      logfp: np.ndarray | None = None) -> bool:
+def double_root_guard(rs: RootSet, p: Coefficients, logfp: np.ndarray) -> bool:
     """True iff the root set certifies a repeated root.
 
     Fires when some pair of roots lies within 1e-9*(1+|alpha|), or some
-    |f'(alpha_j)| <= 1e-9 * n^1.5 * max|c_k|.  ``logfp`` is log|f'| at the
-    roots when the caller already has it.
+    |f'(alpha_j)| <= 1e-9 * n^1.5 * max|c_k|; ``logfp`` is log|f'| at the
+    roots.
     """
-    if not rs.converged:
-        raise ValueError("double-root guard needs a converged root set")
-    roots = rs.roots
     n = p.degree
-    if n >= 2 and close_root_pairs(roots, PAIR_THRESHOLD).size:
+    if n >= 2 and close_root_pairs(rs.roots, PAIR_THRESHOLD).size:
         return True
     threshold = DERIV_THRESHOLD * n ** 1.5 * float(np.max(np.abs(p.coeffs)))
-    if logfp is None:
-        logfp = log_abs_deriv(p, roots)
     return bool(np.any(logfp <= math.log(threshold)))
 
 
-def _guarded_log_abs_deriv(p: Coefficients, rs: RootSet, logfp, what: str):
-    """log|f'| at the roots, after the double-root guard.
-
-    A ``logfp`` passed in comes from a caller that has already run
-    ``double_root_guard(rs, p, logfp)``, so neither is repeated.
-    """
-    if logfp is not None:
-        return logfp
+def _guarded_log_abs_deriv(p: Coefficients, rs: RootSet) -> np.ndarray:
+    """log|f'| at the roots, after the double-root guard."""
     logfp = log_abs_deriv(p, rs.roots)
     if double_root_guard(rs, p, logfp):
-        raise DoubleRootError(f"repeated root: {what}")
+        raise DoubleRootError("repeated root: log|disc| is -inf")
     return logfp
 
 
-def log_abs_discriminant(p: Coefficients, rs: RootSet,
-                         logfp: np.ndarray | None = None) -> float:
-    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|, all in log space.
+def _direct_total(p: Coefficients, logfp: np.ndarray) -> float:
+    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|."""
+    return (p.degree - 2) * math.log(abs(p.coeffs[-1])) + float(logfp.sum())
 
-    ``logfp``: log|f'| at the roots, already passed through the guard.
-    """
-    logfp = _guarded_log_abs_deriv(p, rs, logfp, "log|disc| is -inf")
-    n = p.degree
-    return (n - 2) * math.log(abs(p.coeffs[-1])) + float(logfp.sum())
+
+def log_abs_discriminant(p: Coefficients, rs: RootSet) -> float:
+    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|, all in log space."""
+    return _direct_total(p, _guarded_log_abs_deriv(p, rs))
 
 
 def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
@@ -110,38 +98,42 @@ def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
     return float(np.mean(np.log(vals)))
 
 
-def decompose(p: Coefficients, rs: RootSet, quad_points: int,
-              logfp: np.ndarray | None = None) -> DiscriminantBreakdown:
+def decompose(p: Coefficients, rs: RootSet,
+              quad_points: int) -> DiscriminantBreakdown:
     """Split log|disc| into inside/outside root sums, a Mahler integral and
-    the (2n-1) log n normalization.
+    the (2n-1) log n normalization, beside the direct total.
 
-    Requires degree >= 2, no roots on the unit circle (within guard) and no
-    repeated roots.  ``logfp`` is as for :func:`log_abs_discriminant`.
+    Requires degree >= 2; raises DoubleRootError on a repeated root.  With a
+    root on the unit circle (within guard) the three pieces are NaN and the
+    total and statistic come from the direct route.
     """
     n = p.degree
     if n < 2:
         raise ValueError("decomposition needs degree >= 2")
     if quad_points < 16 * (n + 1):
         raise ValueError("quad_points must be at least 16*(degree+1)")
+    logfp = _guarded_log_abs_deriv(p, rs)
+    direct = _direct_total(p, logfp)
+    logn = math.log(n)
+    log_n_term = (2 * n - 1) * logn
     mod = np.abs(rs.roots)
     if np.any(np.abs(mod - 1.0) <= ON_CIRCLE_GUARD):
-        raise CircleRootError("a root lies on the unit circle")
-    logfp = _guarded_log_abs_deriv(p, rs, logfp, "decomposition undefined")
-
-    logn = math.log(n)
-    inside = mod < 1.0
-    outside = ~inside
-    sum_inside = float(np.sum(logfp[inside] - 1.5 * logn))
-    sum_outside = float(np.sum(logfp[outside] - (n - 2) * np.log(mod[outside])
-                               - 1.5 * logn))
-    mahler_term = (n - 2) * (_mahler_quadrature(p, quad_points) - 0.5 * logn)
-    log_n_term = (2 * n - 1) * logn
-    total = sum_inside + sum_outside + mahler_term + log_n_term
+        sum_inside = sum_outside = mahler_term = float("nan")
+        total = direct
+    else:
+        inside = mod < 1.0
+        outside = ~inside
+        sum_inside = float(np.sum(logfp[inside] - 1.5 * logn))
+        sum_outside = float(np.sum(logfp[outside]
+                                   - (n - 2) * np.log(mod[outside]) - 1.5 * logn))
+        mahler_term = (n - 2) * (_mahler_quadrature(p, quad_points) - 0.5 * logn)
+        total = sum_inside + sum_outside + mahler_term + log_n_term
     return DiscriminantBreakdown(
         n=n, sum_inside=sum_inside, sum_outside=sum_outside,
         mahler_term=mahler_term, log_n_term=log_n_term,
         total_log_abs_disc=total,
-        theorem_statistic=(total - 2 * n * logn) / n)
+        theorem_statistic=(total - 2 * n * logn) / n,
+        log_abs_disc_direct=direct)
 
 
 def _sylvester_matrix(pc: list, qc: list) -> list:

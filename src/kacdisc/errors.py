@@ -32,10 +32,6 @@ class DoubleRootError(KacdiscError):
     """A repeated root was detected; log|discriminant| is -inf."""
 
 
-class CircleRootError(KacdiscError):
-    """A root lies on the unit circle (within guard), decomposition undefined."""
-
-
 class OracleCapError(KacdiscError):
     """Degree exceeds the configured cap for the exact integer oracle."""
 

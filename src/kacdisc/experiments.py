@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from . import limits
-from .discriminant import decompose, double_root_guard, log_abs_discriminant
-from .errors import (CircleRootError, ConfigurationError, EmptyInputError,
+from .discriminant import decompose
+from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
                           CoefficientDistribution, Coefficients,
@@ -205,19 +205,22 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
                     reference: dict) -> ExperimentReport:
     """The per-n loop shared by every runner.
 
-    At each n of the ladder ``trial((config, n, t))`` runs for every trial
-    index t, and a record's missing columns read NaN.  Each non-ok status is
-    counted under its own guard key, and the records' ``resamples`` under
-    ``resampled`` when that key is kept.  Once more than
-    NONCONVERGENCE_BUDGET of the trials at one n failed to converge the run
-    stops; otherwise ``reduce(n, records)`` is the summary of n.
+    ``trial((config, n, t))`` runs for every n and trial index t as one task
+    list (one worker pool per run); a record's missing columns read NaN.  Per
+    n in ladder order, each non-ok status is counted under its own guard key,
+    and the records' ``resamples`` under ``resampled`` when that key is kept.
+    At the first n where more than NONCONVERGENCE_BUDGET of the trials failed
+    to converge the run stops, though the later n have run by then;
+    otherwise ``reduce(n, records)`` is the summary of n.
     """
     guards = dict.fromkeys(guard_keys, 0)
     per_n, records = {}, []
-    for n in config.n_ladder:
-        recs = _run_trials(partial(_guarded, trial),
-                           [(config, n, t) for t in range(config.trials)],
+    all_recs = _run_trials(partial(_guarded, trial),
+                           [(config, n, t) for n in config.n_ladder
+                            for t in range(config.trials)],
                            config.workers)
+    for i, n in enumerate(config.n_ladder):
+        recs = all_recs[i * config.trials:(i + 1) * config.trials]
         for r in recs:
             for c in columns:
                 r.setdefault(c, _NAN)
@@ -244,24 +247,20 @@ def _breakdown_trial(args) -> dict:
     config, n, trial = args
     p = sample_kac(config.dist, n, config.master_seed, trial)
     rs = find_roots(p)
-    # one guard and one log|f'| pass serve the direct route and the split
-    logfp = log_abs_deriv(p, rs.roots)
-    if double_root_guard(rs, p, logfp):
-        return {"n": n, "trial": trial, "status": "double_root"}
-    logdisc = log_abs_discriminant(p, rs, logfp)
-    rec = {"n": n, "trial": trial, "status": "ok",
-           "log_abs_disc_direct": logdisc,
-           "statistic": (logdisc - 2 * n * math.log(n)) / n}
     try:
-        br = decompose(p, rs, config.quad_factor * (n + 1), logfp)
-    except CircleRootError:
+        br = decompose(p, rs, config.quad_factor * (n + 1))
+    except DoubleRootError:
+        return {"n": n, "trial": trial, "status": "double_root"}
+    rec = {"n": n, "trial": trial, "status": "ok",
+           "log_abs_disc_direct": br.log_abs_disc_direct,
+           "statistic": br.theorem_statistic}
+    if math.isnan(br.sum_inside):
         # statistic still valid; only the inside/outside split is undefined
         rec["status"] = "circle_root"
         return rec
     rec.update(sum_inside=br.sum_inside, sum_outside=br.sum_outside,
                mahler_term=br.mahler_term, log_n_term=br.log_n_term,
-               total_log_abs_disc=br.total_log_abs_disc,
-               statistic=br.theorem_statistic)
+               total_log_abs_disc=br.total_log_abs_disc)
     return rec
 
 
@@ -271,13 +270,22 @@ _BREAKDOWN_COLUMNS = ("n", "trial", "status", "sum_inside", "sum_outside",
 _BREAKDOWN_GUARDS = ("double_root", "circle_root", "nonconverged", "resampled")
 
 
+def _require_nonzero_leading(config: ExperimentConfig):
+    """sample_kac rejects a zero leading draw, which would stop a run part-way."""
+    if config.dist.atom_at_zero:
+        raise ConfigurationError(
+            f"distribution {config.dist.kind!r} with K={config.dist.k} has an "
+            "atom at zero, so a sampled leading coefficient can be zero")
+
+
 def _require_breakdown_domain(config: ExperimentConfig):
     """The discriminant-statistic runners need a theorem-eligible law (unless
-    allowed) and degree >= 2."""
+    allowed), a law without an atom at zero and degree >= 2."""
     if not config.dist.theorem_eligible and not config.allow_ineligible:
         raise ConfigurationError(
             f"distribution {config.dist.kind!r} is not theorem-eligible "
             "(needs mean zero, unit variance, no atom at zero)")
+    _require_nonzero_leading(config)
     if config.n_ladder[0] < 2:
         raise ConfigurationError(
             "the discriminant decomposition needs degree >= 2, "
@@ -335,7 +343,7 @@ def _mahler_trial(args) -> dict:
         if draws[-1] == 0:
             resamples += 1
             continue
-        p = Coefficients(draws, seed_provenance=(config.master_seed, trial))
+        p = Coefficients(draws)
         vals = np.abs(circle_values(p.coeffs, 1.0, quad_points))
         if vals.min() < MIN_MODULUS_GUARD:
             resamples += 1
@@ -393,6 +401,7 @@ _CLUSTERING_COLUMNS = ("n", "trial", "status", "annulus_fraction",
 def run_clustering(config: ExperimentConfig) -> ExperimentReport:
     """Fraction of roots in the omega(n)/n annulus, almost-real sector counts
     against the angular bound, and dyadic arc discrepancy."""
+    _require_nonzero_leading(config)
 
     def reduce(n, recs):
         ok = [r for r in recs if r["status"] == "ok"]
@@ -486,6 +495,7 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
     each candidate dip by Gauss-Newton steps, which is the version whose
     law actually stabilizes as n grows.
     """
+    _require_nonzero_leading(config)
 
     def reduce(n, recs):
         vals = [r["statistic"] for r in recs]

@@ -130,8 +130,8 @@ def integral_phi(tol: float = 1e-10) -> float:
     closed-form tail -(log 2 + 3 log T + 3)/T at T = 100 from
     Phi ~ -log(2 t^3)/t^2 (remainder O(T^2 e^{-2T})).
     """
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    if not tol >= 1e-12:  # also rejects NaN
+        raise ValueError(f"tol must be >= 1e-12, got {tol!r}")
     head = _phi_head_integral(SMALL_T)
     main, err = _quad(phi, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
                       limit=400)

@@ -51,17 +51,16 @@ class CoefficientDistribution:
             raise ValueError("fixed kind needs explicit coefficients")
 
     @property
-    def theorem_eligible(self) -> bool:
-        """Mean zero, unit variance, and no atom at zero.
+    def atom_at_zero(self) -> bool:
+        """Centered uniform integers hit zero exactly when k is odd."""
+        return self.kind == UNIFORM_INT_CENTERED and self.k % 2 == 1
 
-        Centered uniform integers hit zero exactly when k is odd, so only
-        even k qualifies.
-        """
-        if self.kind in (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX):
-            return True
-        if self.kind == UNIFORM_INT_CENTERED:
-            return self.k % 2 == 0
-        return False
+    @property
+    def theorem_eligible(self) -> bool:
+        """Mean zero, unit variance, and no atom at zero."""
+        return (self.kind in (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX,
+                              UNIFORM_INT_CENTERED)
+                and not self.atom_at_zero)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == RADEMACHER:
@@ -91,7 +90,6 @@ class Coefficients:
     leading term."""
 
     coeffs: np.ndarray
-    seed_provenance: tuple | str = "manual"
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs)
@@ -156,7 +154,7 @@ def sample_kac(dist: CoefficientDistribution, n: int, master_seed: int,
     draws = dist.draw(rng, n + 1)
     if draws[-1] == 0:
         raise DegenerateDegreeError("terminal coefficient draw was zero")
-    return Coefficients(draws, seed_provenance=(master_seed, trial))
+    return Coefficients(draws)
 
 
 def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False,
@@ -257,22 +255,6 @@ def _horner_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
     return f, s
 
 
-def log_abs_poly(p: Coefficients, z: np.ndarray) -> np.ndarray:
-    """log|p(z)| elementwise, stable for any modulus.
-
-    Outside the unit circle the reversed-coefficient form
-    p(z) = z^n * prev(1/z) is used, so |z|^n is never materialized.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, _, f, _, _ = _stacked_horner(p.coeffs, z)
-    out = np.empty(z.shape, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        out[inside] = np.log(np.abs(f[:mi]))
-        out[~inside] = (p.degree * np.log(np.abs(z[~inside]))
-                        + np.log(np.abs(f[mi:])))
-    return out
-
-
 def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
     """log|p'(z)| elementwise, with the same overflow-safe split."""
     n = p.degree
@@ -318,7 +300,7 @@ def reciprocal(p: Coefficients) -> Coefficients:
     """Coefficient reversal; roots map to their reciprocals."""
     if p.coeffs[0] == 0:
         raise DegenerateReciprocalError("constant coefficient is zero")
-    return Coefficients(np.array(p.coeffs[::-1]), seed_provenance="manual")
+    return Coefficients(np.array(p.coeffs[::-1]))
 
 
 def circle_values(coeffs: np.ndarray, radius: float, grid_points: int) -> np.ndarray:

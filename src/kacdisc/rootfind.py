@@ -27,6 +27,10 @@ CONJUGATE_SNAP = 1e-12
 ON_CIRCLE_GUARD = 1e-12
 # Rows of the Aberth pair sum formed at once (block x degree scratch).
 PAIR_BLOCK = 64
+# Root pairs closer than the window (relative) collapse onto their critical
+# point when its residual is below the certificate tolerance.
+DOUBLE_ROOT_WINDOW = 1e-5
+DOUBLE_ROOT_CERTIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,6 @@ class RootSet:
 
     roots: np.ndarray
     residuals: np.ndarray
-    converged: bool
     iterations: int
 
     def __post_init__(self):
@@ -169,25 +172,25 @@ def _symmetrize_conjugates(roots: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _collapse_certified_double_roots(p: Coefficients, roots: np.ndarray,
-                                     pair_window: float = 1e-5,
-                                     certify_tol: float = 1e-12) -> np.ndarray:
+def _collapse_certified_double_roots(p: Coefficients,
+                                     roots: np.ndarray) -> np.ndarray:
     """Merge root pairs that certify as one double root.
 
     A simple iteration cannot separate a true double root beyond roughly the
     square root of the residual tolerance, so candidate pairs (closer than
-    ``pair_window`` relative) are refined: Newton on f' from the pair midpoint
-    locates the critical point; if the polynomial residual there is below
-    ``certify_tol`` the pair collapses onto the critical point.  Genuinely
-    separate close roots fail the residual certificate and are left alone.
+    DOUBLE_ROOT_WINDOW relative) are refined: Newton on f' from the pair
+    midpoint locates the critical point; if the polynomial residual there is
+    below DOUBLE_ROOT_CERTIFY_TOL the pair collapses onto the critical point.
+    Genuinely separate close roots fail the residual certificate and are left
+    alone.
     """
     if roots.size < 2:
         return roots
-    cand = close_root_pairs(roots, pair_window)
+    cand = close_root_pairs(roots, DOUBLE_ROOT_WINDOW)
     if cand.size == 0:
         return roots
     dcoeffs = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    dp = Coefficients(dcoeffs, seed_provenance="manual") if dcoeffs.size > 1 else None
+    dp = Coefficients(dcoeffs) if dcoeffs.size > 1 else None
     roots = roots.copy()
     for i, j in cand:
         if i >= j:
@@ -200,7 +203,7 @@ def _collapse_certified_double_roots(p: Coefficients, roots: np.ndarray,
                 if not np.isfinite(w):
                     break
                 zeta = zeta - w
-        if relative_residual(p, np.array([zeta]))[0] <= certify_tol:
+        if relative_residual(p, np.array([zeta]))[0] <= DOUBLE_ROOT_CERTIFY_TOL:
             roots[i] = zeta
             roots[j] = zeta
     return roots
@@ -216,41 +219,37 @@ def _companion_roots(p: Coefficients) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
+def _finish(p: Coefficients, roots: np.ndarray, sweeps: int):
+    """Newton polish, conjugate symmetrization (real inputs) and double-root
+    collapse of a candidate root set; returns the roots and their residuals."""
+    roots = _newton_polish(p, roots, sweeps)
+    if p.is_real:
+        roots = _symmetrize_conjugates(roots)
+    roots = _collapse_certified_double_roots(p, roots)
+    return roots, relative_residual(p, roots)
+
+
 def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
-    """All complex roots with residuals |f(a)| / sum|c_k||a|^k."""
+    """All complex roots with residuals |f(a)| / sum|c_k||a|^k, each at most
+    ``tol``; raises NonConvergenceError otherwise."""
     n = p.degree
     # factor out exact zero roots (vanishing low-order coefficients)
     nz = np.nonzero(p.coeffs)[0]
     zero_mult = int(nz[0])
     if zero_mult == n:
         # pure monomial c*z^n: all roots are exactly zero
-        return RootSet(np.zeros(n, dtype=np.complex128), np.zeros(n), True, 0)
-    if zero_mult:
-        reduced = Coefficients(np.array(p.coeffs[zero_mult:]), seed_provenance="manual")
-    else:
-        reduced = p
+        return RootSet(np.zeros(n, dtype=np.complex128), np.zeros(n), 0)
+    reduced = Coefficients(np.array(p.coeffs[zero_mult:])) if zero_mult else p
 
-    guesses = _initial_guesses(reduced)
-    roots, iters = _aberth_iterate(reduced, guesses, tol, max_iter)
-    roots = _newton_polish(reduced, roots)
-    if reduced.is_real:
-        roots = _symmetrize_conjugates(roots)
-    roots = _collapse_certified_double_roots(reduced, roots)
-    residuals = relative_residual(reduced, roots)
-    converged = bool(np.max(residuals) <= tol) if residuals.size else True
-
-    if not converged:
-        alt = _companion_roots(reduced)
-        alt = _newton_polish(reduced, alt, sweeps=3)
-        if reduced.is_real:
-            alt = _symmetrize_conjugates(alt)
-        alt = _collapse_certified_double_roots(reduced, alt)
-        alt_res = relative_residual(reduced, alt)
+    roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
+                                   max_iter)
+    roots, residuals = _finish(reduced, roots, 2)
+    if not (np.max(residuals) <= tol):
+        alt, alt_res = _finish(reduced, _companion_roots(reduced), 3)
         if np.max(alt_res) < np.max(residuals):
             roots, residuals = alt, alt_res
-        converged = bool(np.max(residuals) <= tol)
-        if not converged:
+        if not (np.max(residuals) <= tol):
             raise NonConvergenceError(
                 f"root solve stalled at residual {np.max(residuals):.3e}",
                 worst_residual=float(np.max(residuals)))
@@ -258,7 +257,7 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
     if zero_mult:
         roots = np.concatenate([np.zeros(zero_mult, dtype=np.complex128), roots])
         residuals = np.concatenate([np.zeros(zero_mult), residuals])
-    return RootSet(roots, residuals, converged, iters)
+    return RootSet(roots, residuals, iters)
 
 
 def canonical_annulus(n: int) -> tuple:
@@ -279,8 +278,6 @@ def root_stats(rs: RootSet, n: int, annuli: list | None = None) -> RootStats:
     max over dyadic arcs [2 pi j / 2^k, 2 pi (j+1) / 2^k), k <= ceil(log2 n),
     of |count - n/2^k|.
     """
-    if not rs.converged:
-        raise ValueError("root statistics need a converged root set")
     mod = np.abs(rs.roots)
     ang = np.mod(np.angle(rs.roots), 2.0 * np.pi)
 

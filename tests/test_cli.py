@@ -92,13 +92,33 @@ def _no_trials(*args):
     raise AssertionError("a trial ran")
 
 
-@pytest.mark.parametrize("name", ["lln", "symmetry", "kacrice", "mahler"])
-def test_experiment_degree_one_fails_before_any_trial(capsys, monkeypatch,
-                                                      name):
+_ATOM_AT_ZERO = ["--dist", "uniform-int-centered", "--K", "3", "--n", "16"]
+_INELIGIBLE_OK = {"allow_ineligible": True}
+
+
+@pytest.mark.parametrize("argv,cfg,needle", [
+    (["lln", "--n", "1"], None, "n=1"),
+    (["symmetry", "--n", "1"], None, "n=1"),
+    (["kacrice", "--n", "1"], None, "n=1"),
+    (["mahler", "--n", "1"], None, "n=1"),
+    (["minmod"] + _ATOM_AT_ZERO, None, "K=3"),
+    (["clustering"] + _ATOM_AT_ZERO, None, "K=3"),
+    (["lln"] + _ATOM_AT_ZERO, _INELIGIBLE_OK, "K=3"),
+    (["symmetry"] + _ATOM_AT_ZERO, _INELIGIBLE_OK, "K=3"),
+], ids=["lln", "symmetry", "kacrice", "mahler", "minmod-atom-at-zero",
+        "clustering-atom-at-zero", "lln-atom-at-zero",
+        "symmetry-atom-at-zero"])
+def test_experiment_degree_one_fails_before_any_trial(tmp_path, capsys,
+                                                      monkeypatch, argv, cfg,
+                                                      needle):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
-    rc, out, err = run(capsys, name, "--n", "1", "--trials", "2")
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    rc, out, err = run(capsys, *argv, "--trials", "2")
     assert _one_line_error(rc, out, err)
-    assert err.startswith("error:") and "n=1" in err
+    assert err.startswith("error:") and needle in err
 
 
 def test_mahler_degree_one_runs_for_gaussian(capsys):
@@ -119,15 +139,32 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["sample", "--n", "3", "--K", "0"], None),
     (["sample", "--n", "3", "--seed", "-1"], None),
     (["sample", "--n", "3", "--trial", "-1"], None),
+    (["roots", "--coeffs-file"], "not json"),
+    (["roots", "--coeffs-file"], {"coeffs": "abc"}),
+    (["roots", "--coeffs-file"], [1, 2]),
+    (["roots", "--coeffs-file"], {"coeffs": [1, [2]]}),
+    (["disc", "--coeffs-file"], {"degree": 5, "coeffs": [1, 2]}),
+    (["disc", "--coeffs", "1,0,-2", "--quad-factor", "1"], None),
+    (["constants", "--tol", "0"], None),
+    (["constants", "--tol", "-1"], None),
+    (["constants", "--tol", "nan"], None),
+    (["roots", "--coeffs", "1,0,-2", "--tol", "-1"], None),
+    (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
         "string-ladder", "string-flag", "list-config", "sample-K-1",
-        "sample-K-0", "sample-negative-seed", "sample-negative-trial"])
+        "sample-K-0", "sample-negative-seed", "sample-negative-trial",
+        "roots-file-not-json", "roots-file-string-coeffs",
+        "roots-file-list", "roots-file-ragged-coeffs",
+        "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
+        "constants-tol-negative", "constants-tol-nan", "roots-tol-negative",
+        "roots-tol-nan"])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
     if cfg is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        argv = argv + ["--config", str(path)]
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        flag = [] if argv[-1] == "--coeffs-file" else ["--config"]
+        argv = argv + flag + [str(path)]
     rc, out, err = run(capsys, *argv)
     assert _one_line_error(rc, out, err)
     assert err.startswith("usage error:")
@@ -144,6 +181,9 @@ def test_disc_total_log4(capsys):
     assert rc == 0
     row = out.strip().splitlines()[1].split(",")
     assert float(row[5]) == pytest.approx(math.log(4), abs=1e-12)
+    # roots +-1 lie on the circle: no split, the direct total and statistic
+    assert ",".join(row) == ("2,nan,nan,nan,2.0794415416798357,"
+                             "1.3862943611198906,-0.6931471805599453")
     assert "log|disc|" in err
 
 

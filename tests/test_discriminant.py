@@ -6,9 +6,10 @@ import pytest
 from kacdisc.discriminant import (DiscriminantBreakdown, decompose,
                                   double_root_guard, exact_discriminant,
                                   log_abs_discriminant, mahler)
-from kacdisc.errors import CircleRootError, DoubleRootError, OracleCapError
+from kacdisc.errors import DoubleRootError, OracleCapError
 from kacdisc.polynomials import (RADEMACHER, CoefficientDistribution,
-                                 Coefficients, reciprocal, sample_kac)
+                                 Coefficients, log_abs_deriv, reciprocal,
+                                 sample_kac)
 from kacdisc.rootfind import find_roots
 
 
@@ -114,9 +115,11 @@ def test_decompose_matches_direct_route():
 
 
 def test_decompose_guards():
-    p = coeffs(-1.0, 0.0, 1.0)  # roots on the circle
-    with pytest.raises(CircleRootError):
-        decompose(p, find_roots(p), 64)
+    p = coeffs(-1.0, 0.0, 1.0)  # roots on the circle: no split
+    br = decompose(p, find_roots(p), 64)
+    assert all(map(math.isnan, (br.sum_inside, br.sum_outside, br.mahler_term)))
+    assert br.total_log_abs_disc == br.log_abs_disc_direct
+    assert abs(br.log_abs_disc_direct - math.log(4)) < 1e-12
     pd = coeffs(4.0, -4.0, 1.0)  # (x-2)^2
     with pytest.raises(DoubleRootError):
         decompose(pd, find_roots(pd), 64)
@@ -125,7 +128,7 @@ def test_decompose_guards():
 
 
 def test_breakdown_csv_row():
-    br = DiscriminantBreakdown(3, 0.5, -0.5, 1.0, 2.0, 3.0, -0.25)
+    br = DiscriminantBreakdown(3, 0.5, -0.5, 1.0, 2.0, 3.0, -0.25, 3.0)
     row = br.csv_row().split(",")
     assert row[0] == "3" and float(row[-1]) == -0.25 and len(row) == 7
 
@@ -166,11 +169,14 @@ def test_mahler_cross_route_degree50():
 
 # ------------------------------------------------------------- root guards
 
+def guard(p):
+    rs = find_roots(p)
+    return double_root_guard(rs, p, log_abs_deriv(p, rs.roots))
+
+
 def test_double_root_guard_basic():
-    pd = coeffs(1.0, -2.0, 1.0)
-    assert double_root_guard(find_roots(pd), pd)
-    p = coeffs(-1.0, 0.0, 1.0)
-    assert not double_root_guard(find_roots(p), p)
+    assert guard(coeffs(1.0, -2.0, 1.0))
+    assert not guard(coeffs(-1.0, 0.0, 1.0))
 
 
 def test_double_root_guard_rarely_fires():
@@ -178,5 +184,5 @@ def test_double_root_guard_rarely_fires():
     fires = 0
     for t in range(300):
         p = sample_kac(dist, 200, 404, t)
-        fires += double_root_guard(find_roots(p), p)
+        fires += guard(p)
     assert fires == 0

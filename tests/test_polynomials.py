@@ -14,7 +14,7 @@ from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
                                  _stacked_horner, circle_values,
-                                 log_abs_deriv, log_abs_poly, newton_ratio,
+                                 log_abs_deriv, newton_ratio,
                                  reciprocal, relative_residual, sample_kac)
 
 
@@ -96,11 +96,10 @@ def test_log_abs_helpers_match_direct_eval():
     c = rng.standard_normal(31)
     p = Coefficients(c)
     zs = np.array([0.5 + 0.1j, 1.7 - 0.3j, -2.5 + 1j, 0.99j])
-    for z, lv, ld in zip(zs, log_abs_poly(p, zs), log_abs_deriv(p, zs)):
+    for z, ld in zip(zs, log_abs_deriv(p, zs)):
         f = P.polyval(z, c)
         fp = P.polyval(z, P.polyder(c))
         scale = P.polyval(abs(z), np.abs(c))
-        assert abs(lv - math.log(abs(f))) < 1e-10
         assert abs(ld - math.log(abs(fp))) < 1e-10
         w = newton_ratio(p, np.array([z]))[0]
         assert abs(w - f / fp) < 1e-10 * abs(f / fp)
@@ -249,7 +248,7 @@ def _check_log(got, ref_frame, err, deg, logz):
 @pytest.mark.parametrize("n", KERNEL_DEGREES)
 @pytest.mark.parametrize("where", KERNEL_WHERES)
 def test_blocked_kernel_within_forward_error_bound(kind, n, where):
-    """Kernel values, newton_ratio, log_abs_poly and log_abs_deriv against
+    """Kernel values, newton_ratio and log_abs_deriv against
     a 50-digit mpmath reference, within the bounds derived above."""
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
     c = p.coeffs
@@ -260,7 +259,7 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
         return np.concatenate([x[inside], x[~inside]])
 
     zs, ratio = stacked(z), stacked(newton_ratio(p, z))
-    lpoly, lderiv = stacked(log_abs_poly(p, z)), stacked(log_abs_deriv(p, z))
+    lderiv = stacked(log_abs_deriv(p, z))
     mult = np.arange(1, n + 1)
     dc = c[1:] * mult
     nb, nbd = _ceil_sqrt(n + 1), _ceil_sqrt(n)
@@ -287,7 +286,6 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
             assert abs(f[t] - complex(F)) <= e_f[t]
             assert abs(fp[t] - complex(Fp)) <= e_fp[t]
             logz = mpmath.log(abs(x)) if outside else 0
-            _check_log(lpoly[t], F, e_f[t], n if outside else 0, logz)
             if not outside:
                 _check_log(lderiv[t], Fp, e_d[t], 0, 0)
                 ax, ex, ay, ey = abs(F), e_f[t], abs(Fp), e_fp[t]
@@ -313,7 +311,7 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
 def test_kernel_handles_empty_input():
     p = coeffs(1.0, 2.0, 3.0)
     empty = np.zeros(0, dtype=np.complex128)
-    for fn in (newton_ratio, log_abs_deriv, log_abs_poly, relative_residual):
+    for fn in (newton_ratio, log_abs_deriv, relative_residual):
         assert fn(p, empty).shape == (0,)
 
 
