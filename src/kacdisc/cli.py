@@ -29,6 +29,16 @@ from .rootfind import find_roots
 # log 2 - (1/2) int Phi = 2.7089800496... (see limits.d_star).
 D_STAR_REFERENCE = 2.70898
 D_STAR_REFERENCE_TOL = 5e-5
+# Largest `constants --tol`: d_star moves by half the error of int Phi, so
+# this keeps it 100x inside D_STAR_REFERENCE_TOL and the verdict means
+# something (with an unbounded tol, quad stops at its first estimate).
+CONSTANTS_TOL_MAX = 1e-6
+# Largest `roots --tol`.  The relative residual |f(z)| / sum|c_k||z|^k is
+# the smallest relative change of the coefficients that makes z an exact
+# root; it never exceeds 1, so a tol of 1 or more accepts any point.  Above
+# 1e-3 a certified root is a root only of some polynomial whose coefficients
+# differ from the given ones in the third digit.
+ROOTS_TOL_MAX = 1e-3
 
 _DIST_FLAGS = {
     "rademacher": RADEMACHER,
@@ -210,6 +220,8 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
 
 
 def _cmd_constants(args) -> int:
+    if args.tol > CONSTANTS_TOL_MAX:
+        raise _UsageError(f"--tol must be <= {CONSTANTS_TOL_MAX}, got {args.tol!r}")
     rows = []
     if args.table:
         try:
@@ -261,8 +273,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if not args.tol > 0:
-        raise _UsageError(f"--tol must be > 0, got {args.tol!r}")
+    if not 0 < args.tol <= ROOTS_TOL_MAX:
+        raise _UsageError(
+            f"--tol must be > 0 and <= {ROOTS_TOL_MAX}, got {args.tol!r}")
     p = _parse_coeffs(args)
     rs = find_roots(p, tol=args.tol)
     text = rs.to_jsonl()

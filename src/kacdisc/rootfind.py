@@ -102,19 +102,30 @@ def _pair_sums(roots: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarr
 def close_root_pairs(roots: np.ndarray, rel: float) -> np.ndarray:
     """Index pairs (i, j), i != j, with |z_i - z_j| <= rel * (1 + |z_i|).
 
-    Rows are scanned in blocks of PAIR_BLOCK, so no n x n array is formed;
-    the pairs come back in row-major order, shape (count, 2).
+    A sort-then-sweep neighbour search (after Shamos & Hoey's closest-point
+    sweep): with the roots sorted by real part, the roots k = 1, 2, ...
+    places apart are compared while some real-part gap at that distance is
+    within the largest bound.  The gaps grow with k, and |z_i - z_j| is at
+    least the real-part gap, so no later k can hold a pair.  NaN roots have
+    no bound and pair with nothing.  The pairs come back in row-major order,
+    shape (count, 2), exactly as from a scan of the full distance matrix.
     """
     bound = rel * (1.0 + np.abs(roots))
+    reach = np.max(bound[~np.isnan(bound)], initial=0.0)
     found = [np.empty((0, 2), dtype=np.intp)]
-    for start in range(0, roots.size, PAIR_BLOCK):
-        rows = np.arange(start, min(start + PAIR_BLOCK, roots.size))
-        d = np.abs(roots[rows, None] - roots[None, :])
-        d[np.arange(rows.size), rows] = np.inf
-        hit = np.argwhere(d <= bound[rows, None])
-        hit[:, 0] += start
-        found.append(hit)
-    return np.concatenate(found)
+    order = np.argsort(roots.real)
+    x = roots.real[order]
+    for k in range(1, roots.size):
+        near = np.flatnonzero(x[k:] - x[:-k] <= reach)
+        if near.size == 0:
+            break
+        i, j = order[near], order[near + k]
+        d = np.abs(roots[i] - roots[j])
+        for a, b in ((i, j), (j, i)):
+            hit = d <= bound[a]
+            found.append(np.stack([a[hit], b[hit]], axis=1))
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,

@@ -148,16 +148,20 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["constants", "--tol", "0"], None),
     (["constants", "--tol", "-1"], None),
     (["constants", "--tol", "nan"], None),
+    (["constants", "--tol", "inf"], None),
+    (["constants", "--tol", "1e-3"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "-1"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
+    (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
         "string-ladder", "string-flag", "list-config", "sample-K-1",
         "sample-K-0", "sample-negative-seed", "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
         "roots-file-list", "roots-file-ragged-coeffs",
         "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
-        "constants-tol-negative", "constants-tol-nan", "roots-tol-negative",
-        "roots-tol-nan"])
+        "constants-tol-negative", "constants-tol-nan", "constants-tol-inf",
+        "constants-tol-1e-3", "roots-tol-negative", "roots-tol-nan",
+        "roots-tol-10"])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
     if cfg is not None:

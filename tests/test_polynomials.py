@@ -142,7 +142,9 @@ def _ref_relative_residual(p, z):
     return out
 
 
-KERNEL_KINDS = [RADEMACHER, GAUSSIAN_COMPLEX]
+# real +-1 and real Gaussian coefficients take the kernel's real-plane
+# contraction, complex Gaussian ones the complex contraction
+KERNEL_KINDS = [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX]
 # degree 1 and 2, n + 1 = 144 a perfect square and n + 1 = 145 one past it
 KERNEL_DEGREES = [1, 2, 7, 128, 143, 144, 800]
 KERNEL_WHERES = ["inside", "outside", "mixed", "circle"]
@@ -185,7 +187,11 @@ def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
 # gamma_k = k u / (1 - k u), with (1 + theta_a)(1 + theta_b) = 1 + theta_(a+b)
 # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1,
 # 3.6).  A complex product has relative error below sqrt(2) gamma_2 <
-# gamma_3 and a complex sum below u.  With B = ceil(sqrt(n + 1)) the term
+# gamma_3 and a complex sum below u.  A real coefficient times a complex
+# power (the real-plane contraction) rounds each part once, so it is
+# within u < gamma_3 and the bound below holds for it unchanged; its block
+# sums run over each plane in float64, within the same gamma_(B-1) in any
+# summation order.  With B = ceil(sqrt(n + 1)) the term
 # a_i w^i, i = kB + j, passes through
 #   the power table entry w^j, j - 1 products by w     gamma_(3j)
 #   the product with a_i                               gamma_3

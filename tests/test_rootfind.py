@@ -211,11 +211,48 @@ def test_aberth_iterate_keeps_guesses_and_respects_max_iter():
     assert roots.tobytes() == ref.tobytes()  # nothing freezes in 3 sweeps
 
 
-@pytest.mark.parametrize("n", [2, 64, 65, 300])
-def test_close_root_pairs_match_full_matrix(n):
-    rng = np.random.default_rng(n)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z[-1] = z[0] * (1.0 + 1e-7)  # one close pair across the row blocks
+def _close_pair_input(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        z = rng.standard_normal(case) + 1j * rng.standard_normal(case)
+        z[-1] = z[0] * (1.0 + 1e-7)  # one close pair, first and last index
+        return z
+    rng = np.random.default_rng(7)
+    if case == "conjugate":
+        # a conjugate pair and a real root share each real part
+        up = rng.standard_normal(100) + 1j * np.abs(rng.standard_normal(100))
+        return np.concatenate([up, np.conj(up), up.real + 0j])
+    if case == "vertical":
+        # every real-part gap is zero: the search compares all pairs
+        return 0.5 + 1j * np.linspace(-2.0, 2.0, 200)
+    if case == "duplicates":
+        z = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        return np.concatenate([z, z[:20], z[:5]])
+    if case == "at-bound":
+        # 0 and each rel * (1 + |0|) away from it: exactly at the bound; at
+        # rel = 0.1 the real-part gap of -1.5 and -1.25 is 0.25, exactly the
+        # largest bound, 0.1 * (1 + 1.5), so the sweep reaches that pair
+        rels = np.array([1e-9, 1e-5, 0.1])
+        return np.concatenate([[0.0, -1.5, -1.25], rels, -rels, 1j * rels,
+                               -1j * rels])
+    if case == "dense":
+        return 0.05 * (rng.standard_normal(150) + 1j * rng.standard_normal(150))
+    if case == "nan":
+        # NaN has no bound, so the reach comes from the other roots
+        z = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+        z[[3, 40, 41]] = [complex(np.nan, 0.0), complex(0.25, np.nan),
+                          complex(np.nan, np.nan)]
+        z[50] = z[49] * (1.0 + 1e-7)
+        return z
+    return {"empty": np.zeros(0, dtype=np.complex128),
+            "single": np.array([1.0 + 1.0j])}[case]
+
+
+@pytest.mark.parametrize("case", [2, 64, 65, 300, "conjugate", "vertical",
+                                  "duplicates", "at-bound", "dense", "nan",
+                                  "empty", "single"])
+def test_close_root_pairs_match_full_matrix(case):
+    z = _close_pair_input(case)
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, np.inf)
     for rel in (1e-9, 1e-5, 0.1):
