@@ -23,22 +23,12 @@ from .experiments import ExperimentConfig, ExperimentReport
 from .polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                           UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                           CoefficientDistribution, Coefficients, sample_kac)
-from .rootfind import find_roots
+from .rootfind import ROOTS_TOL_MAX, find_roots
 
 # Pinned reference for the printed constants table: D_* = gamma - 1/2 +
 # log 2 - (1/2) int Phi = 2.7089800496... (see limits.d_star).
 D_STAR_REFERENCE = 2.70898
 D_STAR_REFERENCE_TOL = 5e-5
-# Largest `constants --tol`: d_star moves by half the error of int Phi, so
-# this keeps it 100x inside D_STAR_REFERENCE_TOL and the verdict means
-# something (with an unbounded tol, quad stops at its first estimate).
-CONSTANTS_TOL_MAX = 1e-6
-# Largest `roots --tol`.  The relative residual |f(z)| / sum|c_k||z|^k is
-# the smallest relative change of the coefficients that makes z an exact
-# root; it never exceeds 1, so a tol of 1 or more accepts any point.  Above
-# 1e-3 a certified root is a root only of some polynomial whose coefficients
-# differ from the given ones in the third digit.
-ROOTS_TOL_MAX = 1e-3
 
 _DIST_FLAGS = {
     "rademacher": RADEMACHER,
@@ -220,8 +210,9 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
 
 
 def _cmd_constants(args) -> int:
-    if args.tol > CONSTANTS_TOL_MAX:
-        raise _UsageError(f"--tol must be <= {CONSTANTS_TOL_MAX}, got {args.tol!r}")
+    if args.tol > limits.CONSTANTS_TOL_MAX:
+        raise _UsageError(
+            f"--tol must be <= {limits.CONSTANTS_TOL_MAX}, got {args.tol!r}")
     rows = []
     if args.table:
         try:

@@ -34,6 +34,12 @@ SMALL_T = 0.01
 LARGE_T = 30.0
 TAIL_T = 100.0
 
+# Largest tol of integral_phi (and so of c_star, d_star and ConstantTable):
+# d_star moves by half the error of int Phi, so this keeps it 100x inside
+# the 5e-5 of the `constants` verdict (cli.D_STAR_REFERENCE_TOL); with an
+# unbounded tol, quad stops at its first estimate.
+CONSTANTS_TOL_MAX = 1e-6
+
 # Taylor coefficients about t = 0 (ascending powers), frozen from an exact
 # symbolic expansion; truncation error at t = 0.01 is below 1e-16.
 _PREFACTOR_SERIES = (1 / 3, 0.0, -1 / 15, 0.0, 2 / 189, 0.0, -1 / 675, 0.0,
@@ -128,10 +134,13 @@ def integral_phi(tol: float = 1e-10) -> float:
 
     Series antiderivative on [0, 0.01], adaptive quadrature on [0.01, 100],
     closed-form tail -(log 2 + 3 log T + 3)/T at T = 100 from
-    Phi ~ -log(2 t^3)/t^2 (remainder O(T^2 e^{-2T})).
+    Phi ~ -log(2 t^3)/t^2 (remainder O(T^2 e^{-2T})).  Raises ValueError
+    unless 1e-12 <= tol <= CONSTANTS_TOL_MAX.
     """
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError(f"tol must be >= 1e-12, got {tol!r}")
+    if tol > CONSTANTS_TOL_MAX:
+        raise ValueError(f"tol must be <= {CONSTANTS_TOL_MAX}, got {tol!r}")
     head = _phi_head_integral(SMALL_T)
     main, err = _quad(phi, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
                       limit=400)

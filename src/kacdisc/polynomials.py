@@ -196,13 +196,12 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
     half (plain c_einsum: a BLAS product would start OpenBLAS threads that
     oversubscribe the worker pool), and Horner in w^B runs over the
     ceil((n+1)/B) block values.  Real coefficients are contracted in
-    float64 against the real and imaginary planes of the table, where
-    c_einsum has vector loops (it has none for complex products; 1.5-1.8x
-    faster per call with n points at n = 800-1600 on a 2-vCPU Xeon);
-    complex ones keep the complex contraction, where the planes measured
-    slower.  The
-    derivative reuses the power table on the coefficients (k+1) c_(k+1).  The first ``mi`` points take c_k, the
-    rest the reversed coefficients.
+    float64 along the points of a points-contiguous (B x points) table,
+    where c_einsum has vector loops (it has none for complex products);
+    complex ones keep the complex contraction over a points x B table,
+    where the points-contiguous order measured slower.  The derivative
+    reuses the power table on the coefficients (k+1) c_(k+1).  The first
+    ``mi`` points take c_k, the rest the reversed coefficients.
     """
     n = coeffs.size - 1
     r = math.isqrt(n + 1)
@@ -217,27 +216,43 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
         blocks[0, 1, :n] = coeffs[1:] * mult
         blocks[1, 1, :n] = coeffs[-2::-1] * mult
     blocks = blocks.reshape(2, rows, nk, nb)
-    powers = np.empty((w.size, nb), dtype=np.complex128)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = w[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    giant = powers[:, -1] * w
     vals = np.empty((nk, rows, w.size), dtype=np.complex128)
     if np.iscomplexobj(coeffs):
-        table, out, split = powers, vals, mi
+        powers = _power_table(w, nb, axis=1)
+        giant = powers[:, -1] * w
+        spec = "skj,mj->ksm"
+        tables = (powers[:mi], powers[mi:])
+        outs = (vals[:, :, :mi], vals[:, :, mi:])
     else:
-        # the rows Re w^j and Im w^j of each point against real blocks give
-        # the real and imaginary parts of its block values, written in place
-        table = np.stack([powers.real, powers.imag], axis=1)
-        table = table.reshape(2 * w.size, nb)
-        out, split = vals.view(np.float64), 2 * mi
-    np.einsum("skj,mj->ksm", blocks[0], table[:split], out=out[:, :, :split])
-    np.einsum("skj,mj->ksm", blocks[1], table[split:], out=out[:, :, split:])
+        # the float64 view of the points-contiguous table interleaves
+        # Re w^j and Im w^j of each point along row j, as the float64 view
+        # of vals interleaves the parts of the block values: real blocks
+        # contract against it straight into vals
+        powers = _power_table(w, nb, axis=0)
+        giant = powers[-1] * w
+        table, out = powers.view(np.float64), vals.view(np.float64)
+        spec = "skj,jm->ksm"
+        tables = (table[:, :2 * mi], table[:, 2 * mi:])
+        outs = (out[:, :, :2 * mi], out[:, :, 2 * mi:])
+    for half, tab, dest in zip(blocks, tables, outs):
+        np.einsum(spec, half, tab, out=dest)
     acc = vals[-1]
     for k in range(nk - 2, -1, -1):
         acc *= giant
         acc += vals[k]
     return acc[0], (acc[1] if deriv else None)
+
+
+def _power_table(w: np.ndarray, nb: int, axis: int) -> np.ndarray:
+    """w^0..w^(nb-1) of every point, the powers running along ``axis``:
+    the same products in either memory layout."""
+    powers = np.empty((nb, w.size) if axis == 0 else (w.size, nb),
+                      dtype=np.complex128)
+    view = powers if axis == 0 else powers.T
+    view[0] = 1.0
+    view[1:] = w
+    np.multiply.accumulate(view, axis=0, out=view)
+    return powers
 
 
 def _horner_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):

@@ -20,6 +20,12 @@ from .polynomials import Coefficients, newton_ratio, relative_residual
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+# Largest tol.  The relative residual |f(z)| / sum|c_k||z|^k is the smallest
+# relative change of the coefficients that makes z an exact root; it never
+# exceeds 1, so a tol of 1 or more accepts any point.  Above 1e-3 a certified
+# root is a root only of some polynomial whose coefficients differ from the
+# given ones in the third digit.
+ROOTS_TOL_MAX = 1e-3
 
 # Roots this close to the real axis (relative) are snapped onto it.
 CONJUGATE_SNAP = 1e-12
@@ -81,21 +87,30 @@ def _initial_guesses(p: Coefficients) -> np.ndarray:
 
 
 def _pair_sums(roots: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(z_i - z_j) for each i in ``rows``.
+    """sum_{j != i} 1/(z_i - z_j) for each i in ``rows``, in ``rows`` order.
 
-    The rows are taken in blocks of ``buf.shape[0]``, reusing ``buf`` (a
-    block x n scratch array), so no n x n temporary is formed.  Each row is
-    summed exactly as a row of the full difference matrix would be.
+    Each pair of rows is divided once, since 1/(z_j - z_i) = -1/(z_i - z_j).
+    With the rows first and the other roots after them, block [a, b) of
+    the rows (``buf.shape[0]`` of them, formed in ``buf``, a block x n
+    scratch array, so no n x n temporary exists) divides against rows a..
+    and every other root.  It adds its row sums to rows [a, b) and
+    subtracts its column sums over the rows after b from those rows.  The
+    other roots count in every row's sum but get no sum of their own.
     """
-    out = np.empty(rows.size, dtype=np.complex128)
-    block = buf.shape[0]
-    for start in range(0, rows.size, block):
-        idx = rows[start:start + block]
-        d = buf[:idx.size]
-        np.subtract.outer(roots[idx], roots, out=d)
-        d[np.arange(idx.size), idx] = np.inf
+    m, n = rows.size, roots.size
+    rest = np.ones(n, dtype=bool)
+    rest[rows] = False
+    z = np.concatenate([roots[rows], roots[rest]])
+    out = np.zeros(m, dtype=np.complex128)
+    flat, block = buf.reshape(-1), buf.shape[0]
+    for a in range(0, m, block):
+        b = min(a + block, m)
+        d = flat[:(b - a) * (n - a)].reshape(b - a, n - a)
+        np.subtract.outer(z[a:b], z[a:], out=d)
+        np.fill_diagonal(d, np.inf)
         np.divide(1.0, d, out=d)
-        d.sum(axis=1, out=out[start:start + idx.size])
+        out[a:b] += d.sum(axis=1)
+        out[b:] -= d[:, b - a:m - a].sum(axis=0)
     return out
 
 
@@ -243,7 +258,10 @@ def _finish(p: Coefficients, roots: np.ndarray, sweeps: int):
 def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
     """All complex roots with residuals |f(a)| / sum|c_k||a|^k, each at most
-    ``tol``; raises NonConvergenceError otherwise."""
+    ``tol``; raises NonConvergenceError otherwise, and ValueError unless
+    0 < tol <= ROOTS_TOL_MAX."""
+    if not 0 < tol <= ROOTS_TOL_MAX:  # also rejects NaN
+        raise ValueError(f"tol must be > 0 and <= {ROOTS_TOL_MAX}, got {tol!r}")
     n = p.degree
     # factor out exact zero roots (vanishing low-order coefficients)
     nz = np.nonzero(p.coeffs)[0]

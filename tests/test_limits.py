@@ -112,6 +112,20 @@ def test_integral_phi_tol_guard():
         integral_phi(1e-13)
 
 
+@pytest.mark.parametrize("fn", [integral_phi, c_star, d_star,
+                                ConstantTable.compute])
+@pytest.mark.parametrize("tol", [2e-6, 1e-3, float("inf")])
+def test_constants_reject_tol_above_cap(fn, tol):
+    # with a loose tol quad stops at its first estimate: d_star(inf) would
+    # be 2.6e-5 off, half the width of the `constants` verdict
+    with pytest.raises(ValueError, match="tol must be <= 1e-06"):
+        fn(tol)
+
+
+def test_constants_accept_tol_at_cap():
+    assert abs(d_star(limits.CONSTANTS_TOL_MAX) - D_STAR) <= 0.5e-6
+
+
 # ------------------------------------------------------ prefactor integral
 
 def test_normalization_identity():

@@ -142,7 +142,7 @@ def _ref_relative_residual(p, z):
     return out
 
 
-# real +-1 and real Gaussian coefficients take the kernel's real-plane
+# real +-1 and real Gaussian coefficients take the kernel's float64
 # contraction, complex Gaussian ones the complex contraction
 KERNEL_KINDS = [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX]
 # degree 1 and 2, n + 1 = 144 a perfect square and n + 1 = 145 one past it
@@ -188,9 +188,9 @@ def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
 # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1,
 # 3.6).  A complex product has relative error below sqrt(2) gamma_2 <
 # gamma_3 and a complex sum below u.  A real coefficient times a complex
-# power (the real-plane contraction) rounds each part once, so it is
+# power (the float64 contraction) rounds each part once, so it is
 # within u < gamma_3 and the bound below holds for it unchanged; its block
-# sums run over each plane in float64, within the same gamma_(B-1) in any
+# sums run over each part in float64, within the same gamma_(B-1) in any
 # summation order.  With B = ceil(sqrt(n + 1)) the term
 # a_i w^i, i = kB + j, passes through
 #   the power table entry w^j, j - 1 products by w     gamma_(3j)
@@ -312,6 +312,18 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
             if ref_ratio is not None and ey < 0.5 * ay:
                 bound = _quotient_bound(float(ax), ex, float(ay), ey)
                 assert abs(ratio[t] - complex(ref_ratio)) <= bound
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("n", [7, 128, 143, 800])
+def test_newton_ratio_independent_of_call_length(kind, n):
+    # a point's ratio does not depend on the other points of its call, so
+    # trials can later share one call without changing their records
+    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    z = _kernel_points(n, "mixed", 300)
+    together = newton_ratio(p, z)
+    alone = np.concatenate([newton_ratio(p, z[t:t + 1]) for t in range(z.size)])
+    assert alone.tobytes() == together.tobytes()
 
 
 def test_kernel_handles_empty_input():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,15 +190,78 @@ def test_freezing_aberth_matches_unfrozen_loop(kind, n):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
 
+# Forward error of _pair_sums in the standard model (u = 2^-53, gamma_k =
+# k u / (1 - k u); Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2nd ed., 3.1).  Each term 1/(z_i - z_j) takes one rounded complex
+# subtraction (relative error u, so a factor within gamma_1 after the
+# reciprocal) and numpy's complex division 1/d by Smith's formula (within
+# gamma_6, as derived in tests/test_polynomials.py): gamma_7 in all.  Row
+# i's sum adds its n - 1 terms, the diagonal's exact zero and the initial
+# zero of the output along some tree of row sums, column sums and
+# subtractions, whatever the block split; with at most n additions on any
+# path, each part of the sum is within gamma_n of the sum of that part's
+# magnitudes, and so the complex sum within gamma_n sum_j |t_j| (Minkowski).
+# Hence |computed - exact| <= gamma_(n+7) sum_(j != i) |1/(z_i - z_j)|.
+_U = 2.0 ** -53
+
+
+def _pair_sum_reference(z, rows):
+    """50-digit sums and their error bounds for the given rows."""
+    n = z.size
+    g = (n + 7) * _U / (1.0 - (n + 7) * _U)
+    zm = [mpmath.mpc(x.real, x.imag) for x in z]
+    exact, bound = [], []
+    with mpmath.workdps(50):
+        for i in rows:
+            terms = [1 / (zm[i] - zm[j]) for j in range(n) if j != i]
+            exact.append(complex(mpmath.fsum(terms)))
+            bound.append(g * float(mpmath.fsum(abs(t) for t in terms)))
+    return np.array(exact), np.array(bound)
+
+
 def test_pair_sums_match_full_matrix_rows():
     rng = np.random.default_rng(3)
     z = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+    cases = [np.arange(150),                    # every root active
+             np.array([149, 0, 7, 64, 65, 128]),  # unsorted, the rest frozen
+             np.array([37]),                    # one row
+             rng.permutation(150)[:70]]         # many blocks, 80 frozen
+    for block in (4, 64):
+        buf = np.empty((block, z.size), dtype=np.complex128)
+        for rows in cases:
+            got = rootfind._pair_sums(z, rows, buf)
+            exact, bound = _pair_sum_reference(z, rows)
+            assert got.shape == rows.shape
+            assert np.all(np.abs(got - exact) <= bound)
+
+
+def test_pair_sums_nonfinite_on_duplicate_rows():
+    # an exact duplicate divides by zero in its pair only: the same rows are
+    # non-finite as in the full matrix, whichever of the pair is frozen
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(90) + 1j * rng.standard_normal(90)
+    z[[10, 75]] = z[3]
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, np.inf)
-    full = (1.0 / diff).sum(axis=1)
-    rows = np.array([149, 0, 7, 64, 65, 128])
-    buf = np.empty((4, z.size), dtype=np.complex128)  # several blocks
-    assert rootfind._pair_sums(z, rows, buf).tobytes() == full[rows].tobytes()
+    buf = np.empty((8, z.size), dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = (1.0 / diff).sum(axis=1)
+        for rows in (np.arange(90), np.array([75, 2, 10, 60]),
+                     np.array([3]), np.array([5, 6])):
+            got = rootfind._pair_sums(z, rows, buf)
+            assert np.array_equal(np.isfinite(got), np.isfinite(full[rows]))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), 2e-3, 10.0,
+                                 float("inf")])
+def test_find_roots_rejects_tol_outside_cap(tol):
+    with pytest.raises(ValueError, match="tol must be > 0 and <= 0.001"):
+        find_roots(coeffs(-2.0, 0.0, 1.0), tol=tol)
+
+
+def test_find_roots_accepts_tol_at_cap():
+    rs = find_roots(coeffs(-2.0, 0.0, 1.0), tol=rootfind.ROOTS_TOL_MAX)
+    assert np.max(rs.residuals) <= rootfind.ROOTS_TOL_MAX
 
 
 def test_aberth_iterate_keeps_guesses_and_respects_max_iter():
