@@ -74,24 +74,6 @@ def double_root_guard(rs: RootSet, p: Coefficients, logfp: np.ndarray) -> bool:
     return bool(np.any(logfp <= math.log(threshold)))
 
 
-def _guarded_log_abs_deriv(p: Coefficients, rs: RootSet) -> np.ndarray:
-    """log|f'| at the roots, after the double-root guard."""
-    logfp = log_abs_deriv(p, rs.roots)
-    if double_root_guard(rs, p, logfp):
-        raise DoubleRootError("repeated root: log|disc| is -inf")
-    return logfp
-
-
-def _direct_total(p: Coefficients, logfp: np.ndarray) -> float:
-    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|."""
-    return (p.degree - 2) * math.log(abs(p.coeffs[-1])) + float(logfp.sum())
-
-
-def log_abs_discriminant(p: Coefficients, rs: RootSet) -> float:
-    """(n-2) log|c_n| + sum_j log|f'(alpha_j)|, all in log space."""
-    return _direct_total(p, _guarded_log_abs_deriv(p, rs))
-
-
 def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
     """Trapezoid mean of log|p| on the uniform unit-circle grid."""
     vals = np.abs(circle_values(p.coeffs, 1.0, quad_points))
@@ -100,20 +82,27 @@ def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
 
 def decompose(p: Coefficients, rs: RootSet,
               quad_points: int) -> DiscriminantBreakdown:
-    """Split log|disc| into inside/outside root sums, a Mahler integral and
-    the (2n-1) log n normalization, beside the direct total.
+    """log|disc| of a solved root set: the only route from roots to it.
+
+    log|f'| at the roots is computed once and passed to the double-root
+    guard.  From it come the direct total (n-2) log|c_n| + sum_j
+    log|f'(alpha_j)| and its split into inside/outside root sums, a Mahler
+    integral and the (2n-1) log n normalization; the pieces never read the
+    direct total.
 
     Requires degree >= 2; raises DoubleRootError on a repeated root.  With a
     root on the unit circle (within guard) the three pieces are NaN and the
-    total and statistic come from the direct route.
+    total and statistic are the direct total.
     """
     n = p.degree
     if n < 2:
         raise ValueError("decomposition needs degree >= 2")
     if quad_points < 16 * (n + 1):
         raise ValueError("quad_points must be at least 16*(degree+1)")
-    logfp = _guarded_log_abs_deriv(p, rs)
-    direct = _direct_total(p, logfp)
+    logfp = log_abs_deriv(p, rs.roots)
+    if double_root_guard(rs, p, logfp):
+        raise DoubleRootError("repeated root: log|disc| is -inf")
+    direct = (n - 2) * math.log(abs(p.coeffs[-1])) + float(logfp.sum())
     logn = math.log(n)
     log_n_term = (2 * n - 1) * logn
     mod = np.abs(rs.roots)

@@ -13,10 +13,6 @@ class NonFiniteCoefficientError(KacdiscError):
     """A coefficient is NaN or infinite."""
 
 
-class DegenerateReciprocalError(KacdiscError):
-    """Constant coefficient is zero, so the reciprocal polynomial drops degree."""
-
-
 class NonConvergenceError(KacdiscError):
     """Root finder failed the residual check after all fallbacks.
 

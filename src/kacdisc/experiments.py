@@ -24,8 +24,8 @@ from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
                           CoefficientDistribution, Coefficients,
-                          _stacked_horner, circle_values, log_abs_deriv,
-                          sample_kac, trial_rng)
+                          circle_value_and_slope, circle_values,
+                          log_abs_deriv, sample_kac, trial_rng)
 from .rootfind import (canonical_annulus, erdos_turan_bound, find_roots,
                        omega_annulus, root_stats)
 
@@ -422,24 +422,6 @@ def run_clustering(config: ExperimentConfig) -> ExperimentReport:
 _GAUSS_NEWTON_STEPS = 5
 
 
-def _circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
-    """Values F and angular derivatives J of the polynomial at e^(i theta).
-
-    One deriv pass of the shared evaluation kernel: inside its split
-    F = f(z) and J = i z f'(z); in the reversed half F = q(u) and
-    J = -i u q'(u) with u = 1/z, since q(u) = u^n f(z) has the same modulus
-    as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
-    order of ``thetas``.
-    """
-    inside, mi, w, f, fp, _ = _stacked_horner(coeffs, np.exp(1j * thetas),
-                                              deriv=True)
-    jac = w * fp
-    F, J = np.empty_like(f), np.empty_like(jac)
-    F[inside], F[~inside] = f[:mi], f[mi:]
-    J[inside], J[~inside] = 1j * jac[:mi], -1j * jac[mi:]
-    return F, J
-
-
 def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
     """Sharpen the grid minimum of |f| on the unit circle.
 
@@ -464,7 +446,7 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
     theta = centre
     best = float(mags.min())
     for step in range(_GAUSS_NEWTON_STEPS + 1):
-        F, J = _circle_value_and_slope(coeffs, theta)
+        F, J = circle_value_and_slope(coeffs, theta)
         best = min(best, float(np.abs(F).min()))
         if step == _GAUSS_NEWTON_STEPS:
             break

@@ -46,18 +46,6 @@ _PREFACTOR_SERIES = (1 / 3, 0.0, -1 / 15, 0.0, 2 / 189, 0.0, -1 / 675, 0.0,
                      2 / 10395)
 _LOG_S_SERIES = (-math.log(3.0), -1.0, -1 / 30, 0.0, 13 / 2100, 0.0,
                  -29 / 70875, 0.0, 6067 / 218295000)
-_S_SERIES = (1 / 3, -1 / 3, 7 / 45, -2 / 45, 2 / 189, -1 / 315, 13 / 14175,
-             -2 / 14175)
-
-# Moments int_0^1 e^{-tb} t^l dt about b = 0, and their 2x2 determinant.
-_COV_S0_SERIES = (1.0, -1 / 2, 1 / 6, -1 / 24, 1 / 120, -1 / 720, 1 / 5040,
-                  -1 / 40320, 1 / 362880)
-_COV_S1_SERIES = (1 / 2, -1 / 3, 1 / 8, -1 / 30, 1 / 144, -1 / 840, 1 / 5760,
-                  -1 / 45360, 1 / 403200)
-_COV_S2_SERIES = (1 / 3, -1 / 4, 1 / 10, -1 / 36, 1 / 168, -1 / 960, 1 / 6480,
-                  -1 / 50400, 1 / 443520)
-_COV_DET_SERIES = (1 / 12, -1 / 12, 2 / 45, -1 / 60, 11 / 2240, -73 / 60480,
-                   233 / 907200, -11 / 226800, 283 / 34214400)
 
 
 def _polyval(series, t: float) -> float:
@@ -97,17 +85,6 @@ def phi(t: float) -> float:
     if t == 0.0:
         return -math.log(3.0) / 3.0
     return _prefactor(t) * _log_s(t)
-
-
-def S_of_t(t: float) -> float:
-    """S(t); S(0) is the limit 1/3."""
-    t = _check_t(t)
-    if t < SMALL_T:
-        return _polyval(_S_SERIES, t)
-    q = math.exp(-2.0 * t)
-    if t > LARGE_T:
-        return math.exp(_log_s(t))
-    return ((1.0 - q) ** 2 - 4.0 * t * t * q) / (2.0 * t ** 3 * (1.0 - q))
 
 
 def psi_limit(t: float) -> float:
@@ -253,26 +230,6 @@ def gaussian_log_moment(s: float) -> float:
     if s <= 0:
         raise ValueError("s must be positive")
     return 0.5 * s * (math.log(s) + 1.0 - EULER_GAMMA)
-
-
-def covariance_suite(b: float):
-    """Moments S_l = int_0^1 e^{-tb} t^l dt for l = 0,1,2 and S0 S2 - S1^2.
-
-    The determinant equals (1 + e^{-2b} - 2 e^{-b} - b^2 e^{-b}) / b^4 and
-    stays positive for all b >= 0; a series route below b = 0.01 avoids the
-    small-b cancellation, with limit values (1, 1/2, 1/3, 1/12).
-    """
-    b = float(b)
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    if b < 0.01:
-        return (_polyval(_COV_S0_SERIES, b), _polyval(_COV_S1_SERIES, b),
-                _polyval(_COV_S2_SERIES, b), _polyval(_COV_DET_SERIES, b))
-    q = math.exp(-b)
-    s0 = (1.0 - q) / b
-    s1 = (1.0 - (1.0 + b) * q) / b ** 2
-    s2 = (2.0 - (b * b + 2.0 * b + 2.0) * q) / b ** 3
-    return s0, s1, s2, s0 * s2 - s1 * s1
 
 
 def T_n(n: int) -> float:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDegreeError, DegenerateReciprocalError,
-                     NonFiniteCoefficientError)
+from .errors import DegenerateDegreeError, NonFiniteCoefficientError
 
 RADEMACHER = "rademacher"
 GAUSSIAN_REAL = "gaussian_real"
@@ -157,33 +156,32 @@ def sample_kac(dist: CoefficientDistribution, n: int, master_seed: int,
     return Coefficients(draws)
 
 
-def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False,
-                    scale: bool = False):
-    """Evaluate over the stacked points [z inside | 1/z outside].
+def _stack(z: np.ndarray):
+    """The stacked points [z inside | 1/z outside].
 
     A point with |z| <= 1 is evaluated as p(z) = sum_k c_k z^k and any other
     as the reversed polynomial q(u) = u^n p(1/u) at u = 1/z, so no power of a
     modulus above one is ever formed.
 
-    Values and derivatives come from the blocked scheme of
-    :func:`_blocked_values`.  With ``scale`` the values come instead from a
-    plain Horner loop that also accumulates the scales; only the residual
-    certificate asks for them, so it shares no arithmetic with the solver
-    it checks.
-
-    Returns (inside, mi, w, f, fp, s): the mask, the number of inside
-    points, then the stacked points, values, derivatives (None unless
-    ``deriv``; never with ``scale``) and scales sum_k |c_k| |w|^k (None
-    unless ``scale``), each with its first ``mi`` entries inside.
+    Returns (inside, mi, w): the mask, the number of inside points and the
+    stacked points, whose first ``mi`` entries are the inside ones.
     """
     inside = np.abs(z) <= 1.0
     w = np.concatenate([z[inside], 1.0 / z[~inside]])
-    mi = int(np.count_nonzero(inside))
-    if scale:
-        f, s = _horner_with_scale(coeffs, w, mi)
-        return inside, mi, w, f, None, s
+    return inside, int(np.count_nonzero(inside)), w
+
+
+def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False):
+    """Values (and derivatives) over the stacked points of :func:`_stack`,
+    by the blocked scheme of :func:`_blocked_values`.
+
+    Returns (inside, mi, w, f, fp): the stack, then the values and
+    derivatives (None unless ``deriv``), each with its first ``mi`` entries
+    inside.
+    """
+    inside, mi, w = _stack(z)
     f, fp = _blocked_values(coeffs, w, mi, deriv)
-    return inside, mi, w, f, fp, None
+    return inside, mi, w, f, fp
 
 
 def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
@@ -288,7 +286,7 @@ def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
     n = p.degree
     dcoeffs = p.coeffs[1:] * np.arange(1, n + 1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, _, f, _, _ = _stacked_horner(dcoeffs, z)
+    inside, mi, _, f, _ = _stacked_horner(dcoeffs, z)
     out = np.empty(z.shape, dtype=np.float64)
     with np.errstate(divide="ignore"):
         out[inside] = np.log(np.abs(f[:mi]))
@@ -305,7 +303,7 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
     """
     n = p.degree
     z = np.asarray(z, dtype=np.complex128)
-    inside, mi, w, f, fp, _ = _stacked_horner(p.coeffs, z, deriv=True)
+    inside, mi, w, f, fp = _stacked_horner(p.coeffs, z, deriv=True)
     out = np.empty(z.shape, dtype=np.complex128)
     u, qb, qd = w[mi:], f[mi:], fp[mi:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,20 +313,36 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
 
 
 def relative_residual(p: Coefficients, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / sum_k |c_k||z|^k elementwise, stable for any modulus."""
+    """|p(z)| / sum_k |c_k||z|^k elementwise, stable for any modulus.
+
+    The plain Horner loop of :func:`_horner_with_scale` gives the values,
+    so this certificate shares no arithmetic with the solver it checks.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, _, f, _, s = _stacked_horner(p.coeffs, z, scale=True)
+    inside, mi, w = _stack(z)
+    f, s = _horner_with_scale(p.coeffs, w, mi)
     out = np.empty(z.shape, dtype=np.float64)
     out[inside] = np.abs(f[:mi]) / s[:mi]
     out[~inside] = np.abs(f[mi:]) / s[mi:]
     return out
 
 
-def reciprocal(p: Coefficients) -> Coefficients:
-    """Coefficient reversal; roots map to their reciprocals."""
-    if p.coeffs[0] == 0:
-        raise DegenerateReciprocalError("constant coefficient is zero")
-    return Coefficients(np.array(p.coeffs[::-1]))
+def circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
+    """Values F and angular derivatives J of the polynomial at e^(i theta).
+
+    One deriv pass of the shared evaluation kernel: inside its split
+    F = f(z) and J = i z f'(z); in the reversed half F = q(u) and
+    J = -i u q'(u) with u = 1/z, since q(u) = u^n f(z) has the same modulus
+    as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
+    order of ``thetas``.
+    """
+    inside, mi, w, f, fp = _stacked_horner(coeffs, np.exp(1j * thetas),
+                                           deriv=True)
+    jac = w * fp
+    F, J = np.empty_like(f), np.empty_like(jac)
+    F[inside], F[~inside] = f[:mi], f[mi:]
+    J[inside], J[~inside] = 1j * jac[:mi], -1j * jac[mi:]
+    return F, J
 
 
 def circle_values(coeffs: np.ndarray, radius: float, grid_points: int) -> np.ndarray:

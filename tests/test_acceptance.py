@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from kacdisc import limits
-from kacdisc.discriminant import (decompose, exact_discriminant,
-                                  log_abs_discriminant, mahler)
+from kacdisc.discriminant import decompose, exact_discriminant, mahler
 from kacdisc.experiments import (ExperimentConfig, run_clustering,
                                  run_kacrice_gaussian, run_lln, run_mahler,
                                  run_symmetry)
@@ -114,7 +113,7 @@ def test_criterion_04_exact_oracle_equivalence():
         if exact == 0:
             continue
         target = math.log(abs(exact))
-        got = log_abs_discriminant(p, find_roots(p))
+        got = decompose(p, find_roots(p), 16 * (n + 1)).log_abs_disc_direct
         err = abs(got - target) / (1 + abs(target))
         worst = max(worst, err)
         assert err <= 1e-8, f"poly {c} err {err:.3e}"
@@ -303,7 +302,7 @@ def test_criterion_12_bound_suite():
         if np.min(np.abs(np.abs(rs.roots) - 1.0)) < 5e-4:
             continue
         br = decompose(p, rs, 1 << 16)
-        direct = log_abs_discriminant(p, rs)
+        direct = br.log_abs_disc_direct
         pieces = br.sum_inside + br.sum_outside + br.mahler_term + br.log_n_term
         assert pieces == br.total_log_abs_disc
         err = abs(br.total_log_abs_disc - direct) / (1 + abs(direct))

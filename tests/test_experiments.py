@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from kacdisc import experiments
 from kacdisc.errors import (ConfigurationError, EmptyInputError,
                             ExperimentIntegrityError, NonConvergenceError)
-from kacdisc.experiments import (ExperimentConfig, _circle_value_and_slope,
-                                 _refine_circle_minimum, ks_two_sample,
-                                 run_clustering, run_kacrice_gaussian,
-                                 run_lln, run_mahler, run_min_modulus,
-                                 run_symmetry, summarize)
+from kacdisc.experiments import (ExperimentConfig, _refine_circle_minimum,
+                                 ks_two_sample, run_clustering,
+                                 run_kacrice_gaussian, run_lln, run_mahler,
+                                 run_min_modulus, run_symmetry, summarize)
 from kacdisc.limits import EULER_GAMMA
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
-                                 CoefficientDistribution, circle_values,
+                                 CoefficientDistribution,
+                                 circle_value_and_slope, circle_values,
                                  sample_kac)
 
 RAD = CoefficientDistribution(RADEMACHER)
@@ -270,7 +270,7 @@ def test_circle_slope_matches_analytic_derivative_on_both_branches():
     thetas = np.linspace(0.0, 2.0 * math.pi, 997)
     outside = np.abs(np.exp(1j * thetas)) > 1.0
     assert 0 < np.count_nonzero(outside) < thetas.size
-    F, J = _circle_value_and_slope(coeffs, thetas)
+    F, J = circle_value_and_slope(coeffs, thetas)
     w = np.exp(1j * n * thetas)
     assert np.allclose(np.abs(F), np.abs(w - a), rtol=0, atol=1e-12)
     assert np.allclose(2.0 * (F.conj() * J).real,

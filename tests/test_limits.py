@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from kacdisc import limits
-from kacdisc.limits import (EULER_GAMMA, ConstantTable, S_of_t, T_n, c_star,
-                            covariance_suite, d_star, gaussian_log_moment,
-                            integral_phi, kac_rice_exact_mean,
-                            normalization_identity_check, phi, psi_limit,
-                            s_n_suite)
+from kacdisc.limits import (EULER_GAMMA, ConstantTable, T_n, c_star, d_star,
+                            gaussian_log_moment, integral_phi,
+                            kac_rice_exact_mean, normalization_identity_check,
+                            phi, psi_limit, s_n_suite)
 
 # High-precision reference values computed offline at 50 digits.
 PHI_AT_1 = -0.586683122369085896202176737069
@@ -54,22 +53,13 @@ def test_route_continuity_at_switch_points():
     asym = (1 / t ** 2 - 4 * q / (1 - q) ** 2) * (
         -math.log(2 * t ** 3) - (4 * t * t + 1) * q)
     assert abs(asym - direct) <= 1e-10
-    # same continuity for the other two maps
-    for fn in (S_of_t, psi_limit):
-        lo, hi = fn(limits.SMALL_T * (1 - 1e-9)), fn(limits.SMALL_T * (1 + 1e-9))
-        assert abs(lo - hi) <= 1e-10
+    # same continuity for psi
+    lo = psi_limit(limits.SMALL_T * (1 - 1e-9))
+    hi = psi_limit(limits.SMALL_T * (1 + 1e-9))
+    assert abs(lo - hi) <= 1e-10
 
 
-# ------------------------------------------------------------------ S, psi
-
-def test_S_small_t_limit():
-    assert S_of_t(0.0) == pytest.approx(1 / 3, abs=0)
-    assert abs(S_of_t(1e-9) - 1 / 3) < 1e-9
-
-
-def test_S_large_t_normalization():
-    assert abs(S_of_t(30.0) * 2 * 30.0 ** 3 - 1.0) <= 1e-6
-
+# -------------------------------------------------------------------- psi
 
 def test_psi_phi_affine_identity():
     for t in (0.1, 1.0, 10.0):
@@ -202,32 +192,6 @@ def test_gaussian_log_moment_monte_carlo():
     assert abs(samples.mean() - gaussian_log_moment(s)) <= 4 * se
 
 
-# ------------------------------------------------------------- covariance
-
-def test_covariance_limits():
-    s0, s1, s2, det = covariance_suite(0.0)
-    assert (s0, s1, s2) == (1.0, 0.5, 1 / 3)
-    assert det == pytest.approx(1 / 12, abs=1e-15)
-
-
-def test_covariance_identity_and_positivity():
-    for b in np.concatenate([np.linspace(0.5, 30, 40),
-                             [0.0, 1e-4, 0.02, math.log(10 ** 6) ** 3]]):
-        s0, s1, s2, det = covariance_suite(float(b))
-        assert det > 0
-        assert abs(det - (s0 * s2 - s1 * s1)) <= 1e-12
-        if b >= 0.5:
-            q = math.exp(-b)
-            displayed = (1 + math.exp(-2 * b) - 2 * q - b * b * q) / b ** 4
-            assert abs(det - displayed) <= 1e-12
-
-
-def test_covariance_route_continuity():
-    lo = covariance_suite(0.01 * (1 - 1e-9))
-    hi = covariance_suite(0.01 * (1 + 1e-9))
-    assert max(abs(a - b) for a, b in zip(lo, hi)) < 1e-10
-
-
 # ------------------------------------------------------------------- T_n
 
 def test_T_n():
@@ -274,7 +238,6 @@ def test_kac_rice_quadratures_run():
 
 def test_kac_rice_exact_mean_matches_monte_carlo():
     # independent check of the conditional-moment route at small n
-    from kacdisc.discriminant import log_abs_discriminant  # noqa: F401
     from kacdisc.polynomials import (GAUSSIAN_COMPLEX, CoefficientDistribution,
                                      sample_kac)
     from kacdisc.polynomials import log_abs_deriv

@@ -5,17 +5,15 @@ import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kacdisc.errors import (DegenerateDegreeError, DegenerateReciprocalError,
-                            KacdiscError, NonFiniteCoefficientError)
+from kacdisc.errors import (DegenerateDegreeError, KacdiscError,
+                            NonFiniteCoefficientError)
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
                                  _stacked_horner, circle_values,
                                  log_abs_deriv, newton_ratio,
-                                 reciprocal, relative_residual, sample_kac)
+                                 relative_residual, sample_kac)
 
 
 def coeffs(*vals):
@@ -259,7 +257,7 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
     c = p.coeffs
     z = _kernel_points(n, where, 61)
-    inside, mi, w, f, fp, _ = _stacked_horner(c, z, deriv=True)
+    inside, mi, w, f, fp = _stacked_horner(c, z, deriv=True)
 
     def stacked(x):
         return np.concatenate([x[inside], x[~inside]])
@@ -343,33 +341,6 @@ def test_log_abs_deriv_no_overflow_for_huge_roots():
     z = np.array([1e7 + 0j])
     val = log_abs_deriv(p, z)[0]
     assert np.isfinite(val)
-
-
-# ------------------------------------------------------------- reciprocal
-
-def test_reciprocal_reverses():
-    assert np.array_equal(reciprocal(coeffs(1, 2, 3)).coeffs, [3, 2, 1])
-
-
-def test_reciprocal_requires_nonzero_constant():
-    with pytest.raises(DegenerateReciprocalError):
-        reciprocal(coeffs(0.0, 1.0))
-
-
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=12))
-def test_reciprocal_involution(vals):
-    if vals[0] == 0 or vals[-1] == 0:
-        vals = [v if v else 1 for v in vals]
-    p = coeffs(*vals)
-    q = reciprocal(reciprocal(p))
-    assert np.array_equal(p.coeffs, q.coeffs)
-    assert np.sum(np.abs(p.coeffs)) == np.sum(np.abs(q.coeffs))
-
-
-def test_reciprocal_root():
-    # 1 + 2x has root -1/2; x + 2 has root -2
-    q = reciprocal(coeffs(1.0, 2.0))
-    assert np.array_equal(q.coeffs, [2.0, 1.0])
 
 
 # ---------------------------------------------------------------- circles
