@@ -255,6 +255,21 @@ def _finish(p: Coefficients, roots: np.ndarray, sweeps: int):
     return roots, relative_residual(p, roots)
 
 
+def _unit_scaled(coeffs: np.ndarray) -> Coefficients:
+    """The coefficients times the power of two that puts max |c_k| in [1, 2).
+
+    ``np.ldexp`` on each part scales exactly (unless it takes a coefficient
+    below the normal range), so the roots, the solver's steps and every
+    relative residual are those of the given coefficients, while values
+    and scales at the stacked points stay far from overflow.  The exponent
+    is read from |c_k| / 2, which is finite for every finite complex c_k.
+    """
+    parts = coeffs.view(np.float64)
+    half = np.ldexp(parts, -1).view(coeffs.dtype)
+    _, e = np.frexp(np.max(np.abs(half)))
+    return Coefficients(np.ldexp(parts, -e).view(coeffs.dtype))
+
+
 def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
     """All complex roots with residuals |f(a)| / sum|c_k||a|^k, each at most
@@ -269,7 +284,7 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
     if zero_mult == n:
         # pure monomial c*z^n: all roots are exactly zero
         return RootSet(np.zeros(n, dtype=np.complex128), np.zeros(n), 0)
-    reduced = Coefficients(np.array(p.coeffs[zero_mult:])) if zero_mult else p
+    reduced = _unit_scaled(p.coeffs[zero_mult:])
 
     roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
                                    max_iter)

@@ -62,6 +62,20 @@ def test_roots_of_monomial(capsys):
     assert err.startswith("2 roots")
 
 
+def test_roots_of_huge_coefficients(capsys):
+    # the residual scale of 1e308 coefficients overflows float64; the
+    # solve is scaled, so the roots are exp(+-2 pi i / 3) and certified
+    rc, out, err = run(capsys, "roots", "--coeffs", "1e308,1e308,1e308")
+    assert rc == 0
+    rows = sorted((json.loads(l) for l in out.strip().splitlines()),
+                  key=lambda r: r["im"])
+    want = np.exp(2j * np.pi / 3 * np.array([-1, 1]))
+    for r, root in zip(rows, want):
+        assert abs(complex(r["re"], r["im"]) - root) <= 1e-15
+        assert r["residual"] <= 1e-12
+    assert err.startswith("2 roots")
+
+
 @pytest.mark.parametrize("ladder", ["0", "-3,16", "0,16"])
 def test_degree_below_one_is_usage_error(capsys, ladder):
     rc, _, err = run(capsys, "minmod", "--dist", "rademacher",

@@ -6,11 +6,13 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
+from kacdisc import polynomials
 from kacdisc.errors import (DegenerateDegreeError, KacdiscError,
                             NonFiniteCoefficientError)
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
+                                 _giant_first_with_scale, _stack,
                                  _stacked_horner, circle_values,
                                  log_abs_deriv, newton_ratio,
                                  relative_residual, sample_kac)
@@ -105,41 +107,6 @@ def test_log_abs_helpers_match_direct_eval():
         assert abs(rr - abs(f) / scale) < 1e-12
 
 
-# Two-pass Horner reference for the residual certificate: one Python loop
-# over the points inside the unit circle, another over the reversed
-# polynomial at 1/z outside it.
-
-def _ref_split(z):
-    inside = np.abs(z) <= 1.0
-    return inside, ~inside
-
-
-def _ref_horner_value(coeffs, z):
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _ref_relative_residual(p, z):
-    out = np.empty(z.shape, dtype=np.float64)
-    inside, outside = _ref_split(z)
-    aco = np.abs(p.coeffs)
-    if inside.any():
-        zi = z[inside]
-        val = _ref_horner_value(p.coeffs, zi)
-        sc = _ref_horner_value(aco.astype(np.complex128),
-                               np.abs(zi).astype(np.complex128))
-        out[inside] = np.abs(val) / np.abs(sc)
-    if outside.any():
-        u = 1.0 / z[outside]
-        val = _ref_horner_value(p.coeffs[::-1], u)
-        sc = _ref_horner_value(aco[::-1].astype(np.complex128),
-                               np.abs(u).astype(np.complex128))
-        out[outside] = np.abs(val) / np.abs(sc)
-    return out
-
-
 # real +-1 and real Gaussian coefficients take the kernel's float64
 # contraction, complex Gaussian ones the complex contraction
 KERNEL_KINDS = [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX]
@@ -166,18 +133,6 @@ def _kernel_points(n, where, m):
         z[:4] = [1.0, -1.0, 1j, 0.0]
         z[4:8] = z[4:8].real
     return z
-
-
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
-@pytest.mark.parametrize("n", KERNEL_DEGREES)
-@pytest.mark.parametrize("where", KERNEL_WHERES)
-def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
-    # the residual certificate keeps the plain Horner loop
-    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
-    z = _kernel_points(n, where, 301)
-    got, ref = relative_residual(p, z), _ref_relative_residual(p, z)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
 
 
 # Forward-error bound of the blocked evaluation (polynomials._blocked_values)
@@ -310,6 +265,100 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
             if ref_ratio is not None and ey < 0.5 * ay:
                 bound = _quotient_bound(float(ax), ex, float(ay), ey)
                 assert abs(ratio[t] - complex(ref_ratio)) <= bound
+
+
+# Forward-error bound of the residual certificate
+# (polynomials._giant_first_with_scale), in the standard model derived for
+# the kernel above.  With B = ceil(sqrt(n + 1)) and nk = ceil((n + 1) / B)
+# the term a_i w^i, i = kB + j, passes through
+#   the giant step W = w^B, B - 1 products             gamma_(3(B-1))
+#   the table entry W^k, k - 1 more products           gamma_(3(B-1)k + 3(k-1))
+#   the product with a_i (exact for k = 0)             gamma_3
+#   the sum of the nk terms of its column              gamma_(nk-1)
+#   j Horner products by w and at most j + 1 sums      gamma_(4j+1)
+# so |computed - exact| <= sum_i gamma_(3i + j + nk) |a_i| |w|^i.  The
+# scale sum_i |a_i| |w|^i takes the same steps in float64, where a product
+# or a sum rounds once:
+#   |w| (one ulp), raised to the power i               gamma_i
+#   |W| and its power |W|^k                            gamma_((B-1)k + k - 1)
+#   |a_i| (one ulp for complex a_i) and the product    gamma_2
+#   the column sum and Horner in |w|                   gamma_(nk-1 + 2j+1)
+# so it is within sum_i gamma_(2i + j + nk + 1) |a_i| |w|^i.  Outside the
+# circle both are taken at w = fl(1/z): +6i, as for the kernel.
+def _certificate_bound(a, absw, nb, nk, scale, outside):
+    """sum_i gamma_(k_i) |a_i| |w|^i per point, k_i as derived above."""
+    i = np.arange(a.size)
+    k = ((2 * i + 1 if scale else 3 * i) + i % nb + nk
+         + (6 * i if outside else 0))
+    return (np.abs(a) * _gamma(k) * absw[:, None] ** i).sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+@pytest.mark.parametrize("where", KERNEL_WHERES)
+def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
+    """The residual certificate's values and scales against a 50-digit
+    mpmath reference, within the bounds derived above."""
+    p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    c = p.coeffs
+    # 21 points a case keep the 50-digit reference to a few seconds
+    z = _kernel_points(n, where, 21)
+    inside, mi, w = _stack(z)
+    f, s = _giant_first_with_scale(c, w, mi)
+    res = relative_residual(p, z)
+    stacked = np.concatenate([res[inside], res[~inside]])
+    assert stacked.tobytes() == (np.abs(f) / s).tobytes()
+    nb = _ceil_sqrt(n + 1)
+    nk = -(-(n + 1) // nb)
+    absw = np.abs(w)
+    e_f, e_s = np.empty(w.size), np.empty(w.size)
+    for sl, outside, a in ((slice(0, mi), False, c),
+                           (slice(mi, None), True, c[::-1])):
+        e_f[sl] = _certificate_bound(a, absw[sl], nb, nk, False, outside)
+        e_s[sl] = _certificate_bound(a, absw[sl], nb, nk, True, outside)
+    zs = np.concatenate([z[inside], z[~inside]])
+    with mpmath.workdps(50):
+        # leading coefficient first: cm is q(u) = u^n p(1/u), its reverse p
+        cm = [mpmath.mpmathify(complex(x)) for x in c]
+        am = [abs(x) for x in cm]
+        for t in range(w.size):
+            x = mpmath.mpc(zs[t].real, zs[t].imag)
+            outside = t >= mi
+            wx = 1 / x if outside else x
+            F = mpmath.polyval(cm if outside else cm[::-1], wx)
+            S = mpmath.polyval(am if outside else am[::-1], abs(wx))
+            # differences taken in mpmath, so they add no rounding
+            assert abs(mpmath.mpc(f[t].real, f[t].imag) - F) <= e_f[t]
+            assert abs(s[t] - S) <= e_s[t]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("where", KERNEL_WHERES)
+def test_certificate_shares_nothing_with_kernel(monkeypatch, kind, where):
+    # with the solver's kernel made to raise, the certificate still gives
+    # the same bytes, so it cannot share the kernel's errors
+    p = sample_kac(CoefficientDistribution(kind), 143, 17, 143)
+    z = _kernel_points(143, where, 301)
+    before = relative_residual(p, z)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the certificate reached the solver's kernel")
+
+    for name in ("_blocked_values", "_power_table", "_stacked_horner"):
+        monkeypatch.setattr(polynomials, name, broken)
+    with pytest.raises(AssertionError):
+        newton_ratio(p, z)
+    assert relative_residual(p, z).tobytes() == before.tobytes()
+
+
+def test_relative_residual_reads_overflow_as_inf():
+    # sum |c_k| |z|^k overflows for coefficients 1e308: the residual is
+    # inf, never the 0 that |f| / inf would give.  The point is where an
+    # unscaled solve stalls; the roots are exp(+-2 pi i / 3)
+    p = coeffs(1e308, 1e308, 1e308)
+    res = relative_residual(p, np.array([0.19139214817707312
+                                         + 0.8846229163714849j]))
+    assert res[0] > 1e-12 and np.isinf(res[0])
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -262,6 +263,33 @@ def test_find_roots_rejects_tol_outside_cap(tol):
 def test_find_roots_accepts_tol_at_cap():
     rs = find_roots(coeffs(-2.0, 0.0, 1.0), tol=rootfind.ROOTS_TOL_MAX)
     assert np.max(rs.residuals) <= rootfind.ROOTS_TOL_MAX
+
+
+def test_find_roots_of_huge_coefficients():
+    # 1e308 coefficients overflow the residual scale and newton_ratio
+    # unless the solve runs on the power-of-two scaled polynomial
+    p = coeffs(1e308, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = find_roots(p)
+    got = rs.roots[np.argsort(rs.roots.imag)]
+    want = np.exp(2j * np.pi / 3 * np.array([-1, 1]))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.all(rs.residuals <= 1e-12)
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+def test_find_roots_invariant_under_power_of_two_scaling(kind):
+    # the solve runs on the coefficients scaled to max |c_k| in [1, 2),
+    # so 2^k times them gives the same roots, residuals and sweeps
+    p = sample_kac(CoefficientDistribution(kind), 128, 5, 0)
+    base = find_roots(p)
+    parts = p.coeffs.view(np.float64)
+    for k in (-1000, 7, 1000):
+        rs = find_roots(Coefficients(np.ldexp(parts, k).view(p.coeffs.dtype)))
+        assert rs.roots.tobytes() == base.roots.tobytes()
+        assert rs.residuals.tobytes() == base.residuals.tobytes()
+        assert rs.iterations == base.iterations
 
 
 def test_aberth_iterate_keeps_guesses_and_respects_max_iter():
