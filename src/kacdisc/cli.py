@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, limits
-from .discriminant import decompose
+from .discriminant import CSV_COLUMNS, decompose
 from .errors import ExperimentIntegrityError, KacdiscError
 from .experiments import ExperimentConfig, ExperimentReport
 from .polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
@@ -286,8 +286,7 @@ def _cmd_disc(args) -> int:
     if p.degree < 2:
         raise _UsageError("disc needs degree >= 2")
     br = decompose(p, find_roots(p), args.quad_factor * (p.degree + 1))
-    header = "n,sum_inside,sum_outside,mahler_term,log_n_term,total_log_abs_disc,theorem_statistic"
-    text = header + "\n" + br.csv_row() + "\n"
+    text = ",".join(CSV_COLUMNS) + "\n" + br.csv_row() + "\n"
     if args.out:
         out = Path(args.out)
         _write_manifest(out, {"subcommand": "disc",

@@ -25,6 +25,11 @@ ORACLE_DEGREE_CAP = 64
 PAIR_THRESHOLD = 1e-9
 DERIV_THRESHOLD = 1e-9
 
+# The fields of DiscriminantBreakdown.csv_row, in order: the header of the
+# `disc` output.
+CSV_COLUMNS = ("n", "sum_inside", "sum_outside", "mahler_term", "log_n_term",
+               "total_log_abs_disc", "theorem_statistic")
+
 
 @dataclass(frozen=True)
 class DiscriminantBreakdown:
@@ -45,9 +50,7 @@ class DiscriminantBreakdown:
     log_abs_disc_direct: float
 
     def csv_row(self) -> str:
-        fields = (self.n, self.sum_inside, self.sum_outside, self.mahler_term,
-                  self.log_n_term, self.total_log_abs_disc, self.theorem_statistic)
-        return ",".join(repr(x) for x in fields)
+        return ",".join(repr(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,11 @@ NONCONVERGENCE_BUDGET = 0.01
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by all experiments; round-trips exactly through JSON."""
+    """Knobs shared by all experiments.
+
+    ``to_dict`` is the ``config`` a run's manifest echoes; given back as a
+    ``--config`` file it reruns the same experiment (see ``cli``).
+    """
 
     dist: CoefficientDistribution
     n_ladder: tuple
@@ -73,21 +77,6 @@ class ExperimentConfig:
                      "coeffs": list(self.dist.coeffs)}
         d["n_ladder"] = list(self.n_ladder)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        dd = d.pop("dist")
-        dist = CoefficientDistribution(kind=dd["kind"], k=dd.get("k", 240),
-                                       coeffs=tuple(dd.get("coeffs", ())))
-        return cls(dist=dist, **d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -181,6 +170,8 @@ class ExperimentReport:
 
 
 def _run_trials(fn, args_list, workers: int) -> list:
+    # the pool forks all its workers at the first submit
+    workers = min(workers, len(args_list))
     if workers <= 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))

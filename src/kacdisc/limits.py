@@ -184,29 +184,15 @@ def normalization_identity_check(tol: float = 1e-8, upper: float = TAIL_T) -> fl
 
 @dataclass(frozen=True)
 class KacRiceDensityPoint:
-    """Finite-n exponential-sum quantities and their limits at one t."""
+    """Finite-n exponential-sum quantities at one t."""
 
-    t: float
     s0: float
-    s1: float
-    s2: float
     s_tilde: float
     psi_n: float
-    psi_limit: float
-
-
-def _s_sums(n: int, t: float):
-    k = np.arange(n + 1, dtype=np.float64)
-    w = np.exp((-2.0 * t / n) * k)
-    s0 = float(w.sum()) / n
-    s1 = float((k * w).sum()) * (-2.0) / n ** 2
-    s2 = float((k * k * w).sum()) * 4.0 / n ** 3
-    return s0, s1, s2
 
 
 def s_n_suite(n: int, t: float) -> KacRiceDensityPoint:
-    """s_n and derivatives, the Schur-complement combination, and the
-    densities psi_n and Psi side by side.
+    """s_n, the Schur-complement combination and the density psi_n.
 
     s_n^(l)(t) = n^(-1-l) sum_k (-2k)^l exp(-2tk/n),
     s_tilde = s'' - (s')^2 / s,
@@ -217,11 +203,14 @@ def s_n_suite(n: int, t: float) -> KacRiceDensityPoint:
     t = float(t)
     if t < 0 or t > math.log(n) ** 4:
         raise ValueError("t must lie in [0, log^4 n]")
-    s0, s1, s2 = _s_sums(n, t)
+    k = np.arange(n + 1, dtype=np.float64)
+    w = np.exp((-2.0 * t / n) * k)
+    s0 = float(w.sum()) / n
+    s1 = float((k * w).sum()) * (-2.0) / n ** 2
+    s2 = float((k * k * w).sum()) * 4.0 / n ** 3
     s_tilde = s2 - s1 * s1 / s0
     psi_n = s_tilde * (math.log(s_tilde) + 1.0 - EULER_GAMMA) / (2.0 * s0)
-    return KacRiceDensityPoint(t=t, s0=s0, s1=s1, s2=s2, s_tilde=s_tilde,
-                               psi_n=psi_n, psi_limit=psi_limit(t))
+    return KacRiceDensityPoint(s0=s0, s_tilde=s_tilde, psi_n=psi_n)
 
 
 def gaussian_log_moment(s: float) -> float:

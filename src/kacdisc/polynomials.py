@@ -171,35 +171,22 @@ def _stack(z: np.ndarray):
     return inside, int(np.count_nonzero(inside)), w
 
 
-def _stacked_horner(coeffs: np.ndarray, z: np.ndarray, deriv: bool = False):
-    """Values (and derivatives) over the stacked points of :func:`_stack`,
-    by the blocked scheme of :func:`_blocked_values`.
-
-    Returns (inside, mi, w, f, fp): the stack, then the values and
-    derivatives (None unless ``deriv``), each with its first ``mi`` entries
-    inside.
-    """
-    inside, mi, w = _stack(z)
-    f, fp = _blocked_values(coeffs, w, mi, deriv)
-    return inside, mi, w, f, fp
-
-
 def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
     """Values (and derivatives) at stacked points in about sqrt(n) steps.
 
     Paterson-Stockmeyer baby steps / giant steps: with B = ceil(sqrt(n+1)),
-    p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The power
-    table w^0..w^(B-1) is formed once per point, every zero-padded block
-    of B coefficients is contracted against it in one ``np.einsum`` per
-    half (plain c_einsum: a BLAS product would start OpenBLAS threads that
-    oversubscribe the worker pool), and Horner in w^B runs over the
-    ceil((n+1)/B) block values.  Real coefficients are contracted in
-    float64 along the points of a points-contiguous (B x points) table,
-    where c_einsum has vector loops (it has none for complex products);
-    complex ones keep the complex contraction over a points x B table,
-    where the points-contiguous order measured slower.  The derivative
-    reuses the power table on the coefficients (k+1) c_(k+1).  The first
-    ``mi`` points take c_k, the rest the reversed coefficients.
+    p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The (B x
+    points) power table w^0..w^(B-1) is formed once per point, every
+    zero-padded block of B coefficients is contracted against it in one
+    ``np.einsum`` per half (plain c_einsum: a BLAS product would start
+    OpenBLAS threads that oversubscribe the worker pool), and Horner in w^B
+    runs over the ceil((n+1)/B) block values.  Real coefficients are
+    contracted in float64 on the table's float64 view, where c_einsum has
+    vector loops (it has none for complex products); complex ones keep the
+    complex contraction, against the table stored points-major, the order
+    that measured faster for them.  The derivative reuses the power table
+    on the coefficients (k+1) c_(k+1).  The first ``mi`` points take c_k,
+    the rest the reversed coefficients.
     """
     n = coeffs.size - 1
     r = math.isqrt(n + 1)
@@ -214,43 +201,29 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
         blocks[0, 1, :n] = coeffs[1:] * mult
         blocks[1, 1, :n] = coeffs[-2::-1] * mult
     blocks = blocks.reshape(2, rows, nk, nb)
+    cplx = np.iscomplexobj(coeffs)
+    powers = (np.empty((w.size, nb), dtype=np.complex128).T if cplx
+              else np.empty((nb, w.size), dtype=np.complex128))
+    powers[0] = 1.0
+    powers[1:] = w
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    giant = powers[-1] * w
     vals = np.empty((nk, rows, w.size), dtype=np.complex128)
-    if np.iscomplexobj(coeffs):
-        powers = _power_table(w, nb, axis=1)
-        giant = powers[:, -1] * w
-        spec = "skj,mj->ksm"
-        tables = (powers[:mi], powers[mi:])
-        outs = (vals[:, :, :mi], vals[:, :, mi:])
+    if cplx:
+        table, out, m = powers, vals, mi
     else:
-        # the float64 view of the points-contiguous table interleaves
-        # Re w^j and Im w^j of each point along row j, as the float64 view
-        # of vals interleaves the parts of the block values: real blocks
-        # contract against it straight into vals
-        powers = _power_table(w, nb, axis=0)
-        giant = powers[-1] * w
-        table, out = powers.view(np.float64), vals.view(np.float64)
-        spec = "skj,jm->ksm"
-        tables = (table[:, :2 * mi], table[:, 2 * mi:])
-        outs = (out[:, :, :2 * mi], out[:, :, 2 * mi:])
-    for half, tab, dest in zip(blocks, tables, outs):
-        np.einsum(spec, half, tab, out=dest)
+        # the float64 view of the row-major table interleaves Re w^j and
+        # Im w^j of each point along row j, as the float64 view of vals
+        # interleaves the parts of the block values: real blocks contract
+        # against it straight into vals
+        table, out, m = powers.view(np.float64), vals.view(np.float64), 2 * mi
+    for half, sl in zip(blocks, (slice(None, m), slice(m, None))):
+        np.einsum("skj,jm->ksm", half, table[:, sl], out=out[:, :, sl])
     acc = vals[-1]
     for k in range(nk - 2, -1, -1):
         acc *= giant
         acc += vals[k]
     return acc[0], (acc[1] if deriv else None)
-
-
-def _power_table(w: np.ndarray, nb: int, axis: int) -> np.ndarray:
-    """w^0..w^(nb-1) of every point, the powers running along ``axis``:
-    the same products in either memory layout."""
-    powers = np.empty((nb, w.size) if axis == 0 else (w.size, nb),
-                      dtype=np.complex128)
-    view = powers if axis == 0 else powers.T
-    view[0] = 1.0
-    view[1:] = w
-    np.multiply.accumulate(view, axis=0, out=view)
-    return powers
 
 
 def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
@@ -321,7 +294,8 @@ def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
     n = p.degree
     dcoeffs = p.coeffs[1:] * np.arange(1, n + 1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, _, f, _ = _stacked_horner(dcoeffs, z)
+    inside, mi, w = _stack(z)
+    f, _ = _blocked_values(dcoeffs, w, mi, False)
     out = np.empty(z.shape, dtype=np.float64)
     with np.errstate(divide="ignore"):
         out[inside] = np.log(np.abs(f[:mi]))
@@ -338,7 +312,8 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
     """
     n = p.degree
     z = np.asarray(z, dtype=np.complex128)
-    inside, mi, w, f, fp = _stacked_horner(p.coeffs, z, deriv=True)
+    inside, mi, w = _stack(z)
+    f, fp = _blocked_values(p.coeffs, w, mi, True)
     out = np.empty(z.shape, dtype=np.complex128)
     u, qb, qd = w[mi:], f[mi:], fp[mi:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -383,8 +358,8 @@ def circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
     as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
     order of ``thetas``.
     """
-    inside, mi, w, f, fp = _stacked_horner(coeffs, np.exp(1j * thetas),
-                                           deriv=True)
+    inside, mi, w = _stack(np.exp(1j * thetas))
+    f, fp = _blocked_values(coeffs, w, mi, True)
     jac = w * fp
     F, J = np.empty_like(f), np.empty_like(jac)
     F[inside], F[~inside] = f[:mi], f[mi:]

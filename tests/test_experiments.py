@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacdisc import experiments
+from kacdisc.cli import dispatch
 from kacdisc.errors import (ConfigurationError, EmptyInputError,
                             ExperimentIntegrityError, NonConvergenceError)
 from kacdisc.experiments import (ExperimentConfig, _refine_circle_minimum,
@@ -85,10 +86,29 @@ def test_ks_detects_shift():
 
 # ------------------------------------------------------------------ config
 
-def test_config_roundtrip():
-    c = config(n_ladder=(8, 16, 32), trials=7, quad_factor=32)
-    c2 = ExperimentConfig.from_json(c.to_json())
-    assert c == c2
+# tiny runs of every experiment (kacrice needs n >= 97)
+ROUNDTRIP_RUNS = {
+    "lln": ["--n", "16,24", "--trials", "3"],
+    "symmetry": ["--n", "16", "--trials", "3"],
+    "mahler": ["--n", "16", "--trials", "3"],
+    "clustering": ["--n", "16", "--trials", "3"],
+    "minmod": ["--n", "16", "--trials", "3"],
+    "kacrice": ["--n", "97", "--trials", "2"],
+}
+
+
+def test_config_roundtrip(tmp_path):
+    # the config a manifest echoes, given back as --config, reruns the
+    # experiment to the same bytes
+    for name, argv in ROUNDTRIP_RUNS.items():
+        first, again = tmp_path / name / "first", tmp_path / name / "again"
+        assert dispatch([name, *argv, "--seed", "3", "--out", str(first)]) == 0
+        cfg = tmp_path / name / "config.json"
+        manifest = json.loads((first / "manifest.json").read_text())
+        cfg.write_text(json.dumps(manifest["config"]))
+        assert dispatch([name, "--config", str(cfg), "--out", str(again)]) == 0
+        for fname in ("manifest.json", "report.json", "records.csv"):
+            assert (again / fname).read_bytes() == (first / fname).read_bytes()
 
 
 def test_config_validation():
@@ -165,6 +185,34 @@ def test_report_determinism_and_worker_independence(run, kw):
     p1["config"].pop("workers")
     p2["config"].pop("workers")
     assert p1 == p2
+
+
+def test_pool_no_larger_than_task_list(monkeypatch):
+    # a pool forks all its workers at the first submit, so 64 workers for
+    # 2 trials would fork 62 idle processes; the recorder runs the map in
+    # this process and starts none
+    opened = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    wide = run_lln(config(n_ladder=(16,), trials=2, workers=64))
+    assert opened == [2]
+    assert wide.records == run_lln(config(n_ladder=(16,), trials=2)).records
+    # one task runs in this process
+    run_lln(config(n_ladder=(16,), trials=1, workers=64))
+    assert opened == [2]
 
 
 @pytest.mark.parametrize("run,kw", [

@@ -12,9 +12,9 @@ from kacdisc.errors import (DegenerateDegreeError, KacdiscError,
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
-                                 _giant_first_with_scale, _stack,
-                                 _stacked_horner, circle_values,
-                                 log_abs_deriv, newton_ratio,
+                                 _blocked_values, _giant_first_with_scale,
+                                 _stack, circle_value_and_slope,
+                                 circle_values, log_abs_deriv, newton_ratio,
                                  relative_residual, sample_kac)
 
 
@@ -212,7 +212,8 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
     c = p.coeffs
     z = _kernel_points(n, where, 61)
-    inside, mi, w, f, fp = _stacked_horner(c, z, deriv=True)
+    inside, mi, w = _stack(z)
+    f, fp = _blocked_values(c, w, mi, True)
 
     def stacked(x):
         return np.concatenate([x[inside], x[~inside]])
@@ -344,8 +345,7 @@ def test_certificate_shares_nothing_with_kernel(monkeypatch, kind, where):
     def broken(*args, **kwargs):
         raise AssertionError("the certificate reached the solver's kernel")
 
-    for name in ("_blocked_values", "_power_table", "_stacked_horner"):
-        monkeypatch.setattr(polynomials, name, broken)
+    monkeypatch.setattr(polynomials, "_blocked_values", broken)
     with pytest.raises(AssertionError):
         newton_ratio(p, z)
     assert relative_residual(p, z).tobytes() == before.tobytes()
@@ -364,13 +364,21 @@ def test_relative_residual_reads_overflow_as_inf():
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("n", [7, 128, 143, 800])
 def test_newton_ratio_independent_of_call_length(kind, n):
-    # a point's ratio does not depend on the other points of its call, so
-    # trials can later share one call without changing their records
+    # a point's ratio, and its value and slope on the circle, do not depend
+    # on the other points of its call, so trials can later share one call
+    # without changing their records
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
     z = _kernel_points(n, "mixed", 300)
     together = newton_ratio(p, z)
     alone = np.concatenate([newton_ratio(p, z[t:t + 1]) for t in range(z.size)])
     assert alone.tobytes() == together.tobytes()
+    thetas = np.angle(z)
+    together = circle_value_and_slope(p.coeffs, thetas)
+    alone = [circle_value_and_slope(p.coeffs, thetas[t:t + 1])
+             for t in range(z.size)]
+    for i in (0, 1):
+        assert (np.concatenate([a[i] for a in alone]).tobytes()
+                == together[i].tobytes())
 
 
 def test_kernel_handles_empty_input():
