@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on usage errors (bad flags, unreadable config,
-output collisions without --force), 2 on experiment-integrity errors.  Every
-experiment run writes a manifest echoing the fully resolved configuration, so
-manifest + seed reproduce any output byte for byte on the same build.
+output collisions without --force) and on run errors (bad coefficients, out
+of memory), 2 on experiment-integrity errors.  Every experiment run writes a
+manifest echoing the fully resolved configuration, so manifest + seed
+reproduce any output byte for byte on the same build.
 """
 
 from __future__ import annotations
@@ -134,10 +135,11 @@ def _add_experiment_flags(sp):
     sp.add_argument("--force", action="store_true")
 
 
-# JSON types of the config-file keys; flags are typed by the parser
+# JSON types of the config-file keys, the only keys a config may hold;
+# flags are typed by the parser
 _CONFIG_TYPES = {"dist": dict, "n_ladder": list, "trials": int,
                  "master_seed": int, "annulus_omega": str, "quad_factor": int,
-                 "workers": int, "allow_ineligible": bool}
+                 "workers": int, "allow_ineligible": bool, "keep_records": bool}
 
 
 def _read_config(path: str) -> dict:
@@ -147,6 +149,9 @@ def _read_config(path: str) -> dict:
         raise _UsageError(f"unreadable config {path}: {exc}")
     if not isinstance(base, dict):
         raise _UsageError(f"config {path} is not a JSON object")
+    unknown = sorted(set(base) - set(_CONFIG_TYPES))
+    if unknown:
+        raise _UsageError(f"config {path} has unknown key(s) {', '.join(unknown)}")
     for key, kind in _CONFIG_TYPES.items():
         if key in base and type(base[key]) is not kind:
             raise _UsageError(f"config {key} must be a JSON "
@@ -204,7 +209,8 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
             annulus_omega=setting(args.omega, "annulus_omega", "log2"),
             quad_factor=setting(args.quad_factor, "quad_factor", 16),
             workers=workers,
-            allow_ineligible=base.get("allow_ineligible", False))
+            allow_ineligible=base.get("allow_ineligible", False),
+            keep_records=base.get("keep_records", True))
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -381,6 +387,9 @@ def dispatch(argv) -> int:
         return 2
     except KacdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,9 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .errors import AccuracyError
+
+# scipy.integrate is imported inside the three functions that call quad: it
+# is most of the time `import kacdisc` takes, and most runs never integrate.
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -118,9 +120,10 @@ def integral_phi(tol: float = 1e-10) -> float:
         raise ValueError(f"tol must be >= 1e-12, got {tol!r}")
     if tol > CONSTANTS_TOL_MAX:
         raise ValueError(f"tol must be <= {CONSTANTS_TOL_MAX}, got {tol!r}")
+    from scipy.integrate import quad
     head = _phi_head_integral(SMALL_T)
-    main, err = _quad(phi, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
-                      limit=400)
+    main, err = quad(phi, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
+                     limit=400)
     if err > tol:
         raise AccuracyError(
             f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
@@ -170,9 +173,10 @@ class ConstantTable:
 def normalization_identity_check(tol: float = 1e-8, upper: float = TAIL_T) -> float:
     """Numerical int_0^inf (1/t^2 - 1/sinh^2 t) dt; the antiderivative
     -1/t + coth t makes the exact value 1."""
+    from scipy.integrate import quad
     head = _series_head_integral(_PREFACTOR_SERIES, SMALL_T)
-    main, err = _quad(_prefactor, SMALL_T, upper, epsabs=0.25 * tol,
-                      epsrel=1e-13, limit=400)
+    main, err = quad(_prefactor, SMALL_T, upper, epsabs=0.25 * tol,
+                     epsrel=1e-13, limit=400)
     if err > tol:
         raise AccuracyError(
             f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
@@ -244,11 +248,12 @@ def kac_rice_exact_mean(n: int) -> float:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    from scipy.integrate import quad
     c = 1.0 - EULER_GAMMA
 
     def integrand(t):
         pt = s_n_suite(n, t)
         v = pt.s_tilde / 4.0
         return (v / pt.s0) * (math.log(v) + 2.0 * t / n + c)
-    val, _ = _quad(integrand, 0.0, T_n(n), limit=400)
+    val, _ = quad(integrand, 0.0, T_n(n), limit=400)
     return float(val)

@@ -1,6 +1,9 @@
 import json
 import math
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,7 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["lln"], {"n_ladder": "16"}),
     (["lln"], {"n_ladder": [8], "allow_ineligible": "false"}),
     (["lln"], [8, 16]),
+    (["lln"], {"n_ladder": [8], "trails": 50}),
     (["sample", "--n", "3", "--dist", "uniform-int-centered", "--K", "1"], None),
     (["sample", "--n", "3", "--K", "0"], None),
     (["sample", "--n", "3", "--seed", "-1"], None),
@@ -168,8 +172,9 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
-        "string-ladder", "string-flag", "list-config", "sample-K-1",
-        "sample-K-0", "sample-negative-seed", "sample-negative-trial",
+        "string-ladder", "string-flag", "list-config", "misspelt-key",
+        "sample-K-1", "sample-K-0", "sample-negative-seed",
+        "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
         "roots-file-list", "roots-file-ragged-coeffs",
         "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
@@ -263,6 +268,64 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert run(capsys, "lln", "--config", str(tmp_path / "nope.json"),
                "--n", "16")[0] == 1
+
+
+def test_config_keep_records_false_writes_header_only(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_ladder": [16], "trials": 3,
+                                "keep_records": False}))
+    kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+    assert run(capsys, "minmod", "--n", "16", "--trials", "3",
+               "--out", str(kept))[0] == 0
+    assert run(capsys, "minmod", "--config", str(path),
+               "--out", str(dropped))[0] == 0
+    header = (kept / "records.csv").read_text().splitlines(keepends=True)[0]
+    assert (dropped / "records.csv").read_text() == header
+    manifest = json.loads((dropped / "manifest.json").read_text())
+    assert manifest["config"]["keep_records"] is False
+    report, full = (json.loads((d / "report.json").read_text())
+                    for d in (dropped, kept))
+    assert report["per_n"] == full["per_n"]
+
+
+def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
+    # never by a real allocation: with memory overcommit a huge --n can
+    # bring on the OOM killer instead of a MemoryError
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with "
+                          "shape (3000000001,) and data type float64")
+    monkeypatch.setattr(experiments, "sample_kac", no_memory)
+    rc, out, err = run(capsys, "lln", "--n", "16", "--trials", "2",
+                       "--workers", "1")
+    assert _one_line_error(rc, out, err)
+    assert err.startswith("error: out of memory: Unable to allocate")
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (None, False),
+    (["minmod", "--n", "16", "--trials", "2"], False),
+    (["roots", "--coeffs", "1,0,-2"], False),
+    (["lln", "--n", "16", "--trials", "2"], True),
+], ids=["import", "minmod", "roots", "lln"])
+def test_only_quadrature_runs_load_scipy(argv, loads):
+    # scipy.integrate is most of a fresh `import kacdisc`, so only the runs
+    # that integrate (constants, lln, kacrice) may load it
+    code = [f"import sys; sys.path.insert(0, {str(_SRC)!r})", "import kacdisc"]
+    if argv is not None:
+        code.append(f"from kacdisc import cli; assert cli.dispatch({argv!r}) == 0")
+    code.append("import json; print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", "\n".join(code)],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    if loads:
+        assert "scipy.integrate" in loaded
+    else:
+        assert loaded == []
 
 
 def test_records_jsonl_format(tmp_path, capsys):
