@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_write(path: Path, text: str, force: bool):
     if path.exists() and not force:
         raise _UsageError(f"refusing to overwrite {path} without --force")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
@@ -69,31 +72,27 @@ def _atomic_write(path: Path, text: str, force: bool):
 def emit_table(report: ExperimentReport, fmt: str, out_dir: Path,
                force: bool) -> list:
     """Write report.json plus per-trial records in the requested format."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    rp = out_dir / "report.json"
-    _atomic_write(rp, report.to_json() + "\n", force)
-    written.append(rp)
-    if fmt == "csv":
-        fp = out_dir / "records.csv"
-        _atomic_write(fp, report.records_csv(), force)
-    elif fmt == "jsonl":
-        fp = out_dir / "records.jsonl"
-        lines = [json.dumps(r, sort_keys=True) for r in report.records]
-        _atomic_write(fp, "\n".join(lines) + "\n", force)
-    else:
-        fp = out_dir / "records.json"
-        _atomic_write(fp, json.dumps(report.records, sort_keys=True) + "\n",
-                      force)
-    written.append(fp)
+    written = [out_dir / "report.json", out_dir / f"records.{fmt}"]
+    _atomic_write(written[0], report.to_json() + "\n", force)
+    _atomic_write(written[1], report.records_text(fmt), force)
     return written
 
 
-def _write_manifest(out_dir: Path, payload: dict, force: bool) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mp = out_dir / "manifest.json"
-    _atomic_write(mp, json.dumps(payload, sort_keys=True) + "\n", force)
-    return mp
+def _write_manifest(args, payload: dict):
+    _atomic_write(Path(args.out) / "manifest.json",
+                  json.dumps({"subcommand": args.subcommand, **payload},
+                             sort_keys=True) + "\n", args.force)
+
+
+def _deliver(args, manifest: dict, name: str, text: str):
+    """Without --out write text to stdout; with it, the manifest and name."""
+    if not args.out:
+        sys.stdout.write(text)
+        return None
+    _write_manifest(args, manifest)
+    path = Path(args.out) / name
+    _atomic_write(path, text, args.force)
+    return path
 
 
 def _parse_coeffs(args) -> Coefficients:
@@ -135,7 +134,8 @@ def _add_experiment_flags(sp):
     sp.add_argument("--force", action="store_true")
 
 
-# JSON types of the config-file keys, the only keys a config may hold;
+# JSON types of the config-file keys, the only keys a config may hold (the
+# fields of ExperimentConfig; `dist` holds CoefficientDistribution's);
 # flags are typed by the parser
 _CONFIG_TYPES = {"dist": dict, "n_ladder": list, "trials": int,
                  "master_seed": int, "annulus_omega": str, "quad_factor": int,
@@ -158,59 +158,46 @@ def _read_config(path: str) -> dict:
                               f"{kind.__name__}, got {base[key]!r}")
     if any(type(n) is not int for n in base.get("n_ladder", ())):
         raise _UsageError(f"config n_ladder must list integers: {base['n_ladder']!r}")
+    dist = base.get("dist", {})
+    unknown = sorted(set(dist) - {f.name for f in fields(CoefficientDistribution)})
+    if unknown:
+        raise _UsageError(f"config {path} dist has unknown key(s) {', '.join(unknown)}")
+    coeffs = dist.get("coeffs", [])
+    if type(coeffs) is not list or any(type(c) not in (int, float) for c in coeffs):
+        raise _UsageError(f"config dist coeffs must list numbers: {coeffs!r}")
     return base
 
 
-def _distribution(kind, k) -> CoefficientDistribution:
-    # K is checked for every kind, so no manifest echoes an unusable K
-    if type(k) is not int or k < 2:
-        raise _UsageError(f"K must be an integer >= 2, got {k!r}")
-    try:
-        return CoefficientDistribution(kind=kind, k=k)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+def _given(**flags) -> dict:
+    """The flags that were given on the command line."""
+    return {key: v for key, v in flags.items() if v is not None}
 
 
 def _resolve_config(args, default_dist: str) -> ExperimentConfig:
+    """Flags over the config file's keys over the library's defaults."""
     base = _read_config(args.config) if args.config else {}
-
-    def setting(flag, key, default):
-        return flag if flag is not None else base.get(key, default)
-
-    dd = base.get("dist", {})
-    kind = (_DIST_FLAGS[args.dist] if args.dist
-            else dd.get("kind") if dd else default_dist)
-    dist = _distribution(kind, args.k if args.k is not None else dd.get("k", 240))
-
+    dist = {"kind": default_dist, **base.pop("dist", {}),
+            **_given(kind=_DIST_FLAGS.get(args.dist), k=args.k)}
+    dist["coeffs"] = tuple(dist.get("coeffs", ()))
     if args.n is not None:
         try:
-            ladder = tuple(int(x) for x in args.n.split(","))
+            base["n_ladder"] = [int(x) for x in args.n.split(",")]
         except ValueError:
             raise _UsageError(f"bad --n list {args.n!r}")
-    elif "n_ladder" in base:
-        ladder = tuple(base["n_ladder"])
-    else:
+    elif "n_ladder" not in base:
         raise _UsageError("need --n (or a config with n_ladder)")
-
-    workers = setting(args.workers, "workers", None)
-    if workers is None:
-        env_workers = os.environ.get("KDL_WORKERS")
+    given = {**base, **_given(trials=args.trials, master_seed=args.seed,
+                              annulus_omega=args.omega,
+                              quad_factor=args.quad_factor,
+                              workers=args.workers)}
+    env_workers = os.environ.get("KDL_WORKERS")
+    if "workers" not in given and env_workers:
         try:
-            workers = int(env_workers) if env_workers else 1
+            given["workers"] = int(env_workers)
         except ValueError:
             raise _UsageError(f"KDL_WORKERS must be an integer, got {env_workers!r}")
-    seed = setting(args.seed, "master_seed", 0)
-    if seed < 0:
-        raise _UsageError(f"seed must be >= 0, got {seed}")
     try:
-        return ExperimentConfig(
-            dist=dist, n_ladder=ladder,
-            trials=setting(args.trials, "trials", 100), master_seed=seed,
-            annulus_omega=setting(args.omega, "annulus_omega", "log2"),
-            quad_factor=setting(args.quad_factor, "quad_factor", 16),
-            workers=workers,
-            allow_ineligible=base.get("allow_ineligible", False),
-            keep_records=base.get("keep_records", True))
+        return ExperimentConfig(dist=CoefficientDistribution(**dist), **given)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -248,21 +235,16 @@ def _cmd_constants(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
-    if args.seed < 0 or args.trial < 0:
-        raise _UsageError("--seed and --trial must be >= 0")
-    dist = _distribution(_DIST_FLAGS[args.dist],
-                         240 if args.k is None else args.k)
-    p = sample_kac(dist, args.n, args.seed, args.trial)
-    text = p.to_json() + "\n"
-    if args.out:
-        out = Path(args.out)
-        _write_manifest(out, {"subcommand": "sample", "dist": dist.kind,
-                              "k": dist.k, "n": args.n, "seed": args.seed,
-                              "trial": args.trial}, args.force)
-        _atomic_write(out / "coefficients.json", text, args.force)
-        print(f"wrote {out / 'coefficients.json'} (degree {p.degree})")
-    else:
-        sys.stdout.write(text)
+    try:
+        dist = CoefficientDistribution(_DIST_FLAGS[args.dist], **_given(k=args.k))
+        p = sample_kac(dist, args.n, args.seed, args.trial)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    path = _deliver(args, {"dist": dist.kind, "k": dist.k, "n": args.n,
+                           "seed": args.seed, "trial": args.trial},
+                    "coefficients.json", p.to_json() + "\n")
+    if path:
+        print(f"wrote {path} (degree {p.degree})")
     return 0
 
 
@@ -272,14 +254,8 @@ def _cmd_roots(args) -> int:
         rs = find_roots(p, tol=args.tol)
     except ValueError as exc:
         raise _UsageError(f"--tol: {exc}")
-    text = rs.to_jsonl()
-    if args.out:
-        out = Path(args.out)
-        _write_manifest(out, {"subcommand": "roots", "tol": args.tol,
-                              "coeffs": json.loads(p.to_json())}, args.force)
-        _atomic_write(out / "roots.jsonl", text, args.force)
-    else:
-        sys.stdout.write(text)
+    _deliver(args, {"tol": args.tol, "coeffs": json.loads(p.to_json())},
+             "roots.jsonl", rs.to_jsonl())
     print(f"{rs.count} roots, max residual {float(np.max(rs.residuals)):.3e}, "
           f"{rs.iterations} iterations", file=sys.stderr)
     return 0
@@ -292,15 +268,9 @@ def _cmd_disc(args) -> int:
     if p.degree < 2:
         raise _UsageError("disc needs degree >= 2")
     br = decompose(p, find_roots(p), args.quad_factor * (p.degree + 1))
-    text = ",".join(CSV_COLUMNS) + "\n" + br.csv_row() + "\n"
-    if args.out:
-        out = Path(args.out)
-        _write_manifest(out, {"subcommand": "disc",
-                              "quad_factor": args.quad_factor,
-                              "coeffs": json.loads(p.to_json())}, args.force)
-        _atomic_write(out / "breakdown.csv", text, args.force)
-    else:
-        sys.stdout.write(text)
+    _deliver(args, {"quad_factor": args.quad_factor,
+                    "coeffs": json.loads(p.to_json())},
+             "breakdown.csv", ",".join(CSV_COLUMNS) + "\n" + br.csv_row() + "\n")
     print(f"log|disc| = {br.total_log_abs_disc!r}", file=sys.stderr)
     return 0
 
@@ -311,9 +281,8 @@ def _cmd_experiment(name: str, args) -> int:
     report = _EXPERIMENTS[name](config)
     if args.out:
         out = Path(args.out)
-        manifest = {"subcommand": name, "config": config.to_dict(),
-                    "format": args.format}
-        _write_manifest(out, manifest, args.force)
+        _write_manifest(args, {"config": config.to_dict(),
+                               "format": args.format})
         emit_table(report, args.format, out, args.force)
         print(f"{name}: wrote report to {out}")
     else:
@@ -333,11 +302,13 @@ def build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("constants", help="print the limit-constant table")
+    sp.set_defaults(run=_cmd_constants)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--table", help="comma-separated t values to tabulate")
     sp.add_argument("--table-n", type=int, default=1000)
 
     sp = sub.add_parser("sample", help="draw one coefficient vector")
+    sp.set_defaults(run=_cmd_sample)
     sp.add_argument("--dist", choices=sorted(_DIST_FLAGS), default="rademacher")
     sp.add_argument("--K", type=int, dest="k")
     sp.add_argument("--n", type=int, required=True)
@@ -347,6 +318,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("roots", help="solve for all roots")
+    sp.set_defaults(run=_cmd_roots)
     sp.add_argument("--coeffs", help="ascending comma-separated coefficients")
     sp.add_argument("--coeffs-file")
     sp.add_argument("--tol", type=float, default=1e-12)
@@ -354,6 +326,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("disc", help="log-discriminant breakdown of one polynomial")
+    sp.set_defaults(run=_cmd_disc)
     sp.add_argument("--coeffs")
     sp.add_argument("--coeffs-file")
     sp.add_argument("--quad-factor", type=int, default=64)
@@ -362,23 +335,15 @@ def build_parser() -> _Parser:
 
     for name in _EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
+        sp.set_defaults(run=partial(_cmd_experiment, name))
         _add_experiment_flags(sp)
     return ap
 
 
 def dispatch(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        if args.subcommand == "constants":
-            return _cmd_constants(args)
-        if args.subcommand == "sample":
-            return _cmd_sample(args)
-        if args.subcommand == "roots":
-            return _cmd_roots(args)
-        if args.subcommand == "disc":
-            return _cmd_disc(args)
-        return _cmd_experiment(args.subcommand, args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

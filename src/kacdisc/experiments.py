@@ -22,7 +22,7 @@ from . import limits
 from .discriminant import decompose
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
-from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
+from .polynomials import (FIXED, GAUSSIAN_COMPLEX, RADEMACHER,
                           CoefficientDistribution, Coefficients,
                           circle_value_and_slope, circle_values,
                           log_abs_deriv, sample_kac, trial_rng)
@@ -43,8 +43,8 @@ class ExperimentConfig:
 
     dist: CoefficientDistribution
     n_ladder: tuple
-    trials: int
-    master_seed: int
+    trials: int = 100
+    master_seed: int = 0
     annulus_omega: str = "log2"
     quad_factor: int = 16
     workers: int = 1
@@ -53,6 +53,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
@@ -61,6 +63,10 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be nonempty")
         if any(n < 1 for n in self.n_ladder):
             raise ValueError("n_ladder entries must be >= 1")
+        degree = len(self.dist.coeffs) - 1
+        if self.dist.kind == FIXED and self.n_ladder != (degree,):
+            raise ValueError(f"a fixed distribution of degree {degree} needs "
+                             f"n_ladder [{degree}], got {list(self.n_ladder)}")
         if self.annulus_omega not in ("log2", "log3"):
             raise ValueError("annulus_omega must be 'log2' or 'log3'")
         if self.quad_factor < 16:
@@ -161,11 +167,19 @@ class ExperimentReport:
                    "reference": self.reference, "guards": self.guards}
         return json.dumps(payload, sort_keys=True)
 
-    def records_csv(self) -> str:
-        lines = [",".join(self.record_columns)]
-        for rec in self.records:
-            lines.append(",".join(repr(rec[c]) if isinstance(rec[c], float)
-                                  else str(rec[c]) for c in self.record_columns))
+    def records_text(self, fmt: str) -> str:
+        """The records as "csv" (header row, floats by repr), "jsonl" (one
+        object per line) or "json" (one list)."""
+        if fmt == "json":
+            return json.dumps(self.records, sort_keys=True) + "\n"
+        if fmt == "jsonl":
+            lines = [json.dumps(r, sort_keys=True) for r in self.records]
+        elif fmt == "csv":
+            lines = [",".join(self.record_columns)] + [
+                ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
+                         for c in self.record_columns) for r in self.records]
+        else:
+            raise ValueError(f"unknown record format {fmt!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AccuracyError
 
-# scipy.integrate is imported inside the three functions that call quad: it
+# scipy.integrate is imported inside the two functions that call quad: it
 # is most of the time `import kacdisc` takes, and most runs never integrate.
 
 EULER_GAMMA = 0.57721566490153286
@@ -97,14 +97,23 @@ def psi_limit(t: float) -> float:
     return _prefactor(t) * (_log_s(t) + 1.0 - EULER_GAMMA) / 2.0
 
 
-def _series_head_integral(series, upper: float) -> float:
-    """Exact integral over [0, upper] of a truncated Taylor polynomial."""
-    return sum(c * upper ** (k + 1) / (k + 1) for k, c in enumerate(series))
+# Taylor series of Phi = prefactor * log S, ascending powers
+_PHI_SERIES = tuple(np.polymul(_PREFACTOR_SERIES[::-1], _LOG_S_SERIES[::-1])[::-1])
 
 
-def _phi_head_integral(upper: float) -> float:
-    prod = np.polymul(_PREFACTOR_SERIES[::-1], _LOG_S_SERIES[::-1])[::-1]
-    return _series_head_integral(tuple(prod), upper)
+def _integral_to_tail(f, series, tol: float) -> float:
+    """int_0^TAIL_T f: the exact integral of f's truncated Taylor series on
+    [0, SMALL_T] plus adaptive quadrature on [SMALL_T, TAIL_T];
+    AccuracyError if quad's error estimate exceeds tol."""
+    from scipy.integrate import quad
+    head = sum(c * SMALL_T ** (k + 1) / (k + 1) for k, c in enumerate(series))
+    main, err = quad(f, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
+                     limit=400)
+    if err > tol:
+        raise AccuracyError(
+            f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
+            estimate=head + main)
+    return head + main
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,16 +129,8 @@ def integral_phi(tol: float = 1e-10) -> float:
         raise ValueError(f"tol must be >= 1e-12, got {tol!r}")
     if tol > CONSTANTS_TOL_MAX:
         raise ValueError(f"tol must be <= {CONSTANTS_TOL_MAX}, got {tol!r}")
-    from scipy.integrate import quad
-    head = _phi_head_integral(SMALL_T)
-    main, err = quad(phi, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
-                     limit=400)
-    if err > tol:
-        raise AccuracyError(
-            f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
-            estimate=head + main)
     tail = -(math.log(2.0) + 3.0 * math.log(TAIL_T) + 3.0) / TAIL_T
-    return float(head + main + tail)
+    return float(_integral_to_tail(phi, _PHI_SERIES, tol) + tail)
 
 
 def c_star(tol: float = 1e-10) -> float:
@@ -170,20 +171,12 @@ class ConstantTable:
                            "asymptotic_above": LARGE_T, "tail_at": TAIL_T})
 
 
-def normalization_identity_check(tol: float = 1e-8, upper: float = TAIL_T) -> float:
+def normalization_identity_check(tol: float = 1e-8) -> float:
     """Numerical int_0^inf (1/t^2 - 1/sinh^2 t) dt; the antiderivative
     -1/t + coth t makes the exact value 1."""
-    from scipy.integrate import quad
-    head = _series_head_integral(_PREFACTOR_SERIES, SMALL_T)
-    main, err = quad(_prefactor, SMALL_T, upper, epsabs=0.25 * tol,
-                     epsrel=1e-13, limit=400)
-    if err > tol:
-        raise AccuracyError(
-            f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
-            estimate=head + main)
-    q = math.exp(-2.0 * upper)
-    tail = 1.0 / upper - 2.0 * q / (1.0 - q)
-    return float(head + main + tail)
+    q = math.exp(-2.0 * TAIL_T)
+    tail = 1.0 / TAIL_T - 2.0 * q / (1.0 - q)
+    return float(_integral_to_tail(_prefactor, _PREFACTOR_SERIES, tol) + tail)
 
 
 @dataclass(frozen=True)

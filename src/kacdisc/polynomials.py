@@ -32,9 +32,10 @@ class CoefficientDistribution:
     """A named coefficient law for random polynomials.
 
     ``kind`` is one of :data:`KINDS`.  ``k`` is the support size for the
-    uniform-integer kinds (values 1..k before centering).  ``coeffs`` pins an
-    explicit coefficient sequence for the ``fixed`` kind, which exists for
-    wiring checks.
+    uniform-integer kinds (values 1..k before centering); it must be an int
+    >= 2 for every kind, so no echo of a law shows an unusable K.  ``coeffs``
+    pins an explicit coefficient sequence for the ``fixed`` kind, which exists
+    for wiring checks, and is empty for every other kind.
     """
 
     kind: str
@@ -44,10 +45,10 @@ class CoefficientDistribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind in (UNIFORM_INT_CENTERED, UNIFORM_INT_RAW) and self.k < 2:
-            raise ValueError("uniform integer kinds need k >= 2")
-        if self.kind == FIXED and not self.coeffs:
-            raise ValueError("fixed kind needs explicit coefficients")
+        if type(self.k) is not int or self.k < 2:
+            raise ValueError(f"K must be an integer >= 2, got {self.k!r}")
+        if (self.kind == FIXED) != bool(self.coeffs):
+            raise ValueError("the fixed kind, and only it, needs explicit coefficients")
 
     @property
     def atom_at_zero(self) -> bool:
@@ -136,6 +137,8 @@ class Coefficients:
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-derived stream for one trial: independent of scheduling order."""
+    if master_seed < 0 or trial < 0:
+        raise ValueError(f"seed and trial must be >= 0, got {master_seed} and {trial}")
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
 

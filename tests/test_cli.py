@@ -3,13 +3,15 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kacdisc import experiments
+from kacdisc import cli, experiments
 from kacdisc.cli import dispatch
+from kacdisc.experiments import ExperimentConfig
 from kacdisc.polynomials import Coefficients
 
 
@@ -153,6 +155,14 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["lln"], {"n_ladder": [8], "allow_ineligible": "false"}),
     (["lln"], [8, 16]),
     (["lln"], {"n_ladder": [8], "trails": 50}),
+    (["clustering"], {"dist": {"kind": "uniform_int_centered", "K": 5},
+                      "n_ladder": [16], "trials": 3}),
+    (["lln"], {"dist": {"kind": "rademacher", "coeffs": "abc"},
+               "n_ladder": [8]}),
+    (["minmod"], {"dist": {"kind": "fixed", "coeffs": [1, 0, 1]},
+                  "n_ladder": [5]}),
+    (["minmod"], {"dist": {"kind": "rademacher", "coeffs": [1, 2]},
+                  "n_ladder": [16]}),
     (["sample", "--n", "3", "--dist", "uniform-int-centered", "--K", "1"], None),
     (["sample", "--n", "3", "--K", "0"], None),
     (["sample", "--n", "3", "--seed", "-1"], None),
@@ -173,6 +183,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
         "string-ladder", "string-flag", "list-config", "misspelt-key",
+        "misspelt-dist-key", "string-dist-coeffs", "fixed-dist-wrong-degree",
+        "rademacher-dist-coeffs",
         "sample-K-1", "sample-K-0", "sample-negative-seed",
         "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
@@ -233,6 +245,25 @@ def test_nonfinite_coeffs_one_line_error(capsys, bad):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["sample", "--n", "8", "--seed", "42"], "coefficients.json"),
+    (["roots", "--coeffs=-1,0,1"], "roots.jsonl"),
+    (["disc", "--coeffs", "1,0,-2,1"], "breakdown.csv"),
+], ids=["sample", "roots", "disc"])
+def test_out_writes_stdout_bytes_and_manifest(tmp_path, capsys, argv, name):
+    rc, stdout, _ = run(capsys, *argv)
+    assert rc == 0
+    out = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
+    assert (out / name).read_text() == stdout
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == argv[0]
+    rc, rerun_out, err = run(capsys, *argv, "--out", str(out))
+    assert _one_line_error(rc, rerun_out, err)
+    assert err.startswith("usage error: refusing to overwrite")
+
+
 def test_lln_outputs_byte_identical(tmp_path, capsys):
     args = ["lln", "--dist", "rademacher", "--n", "16,24", "--trials", "4",
             "--seed", "7"]
@@ -263,6 +294,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["trials"] == 5          # flag wins
     assert manifest["config"]["master_seed"] == 9     # file value kept
+
+
+def test_config_keys_are_the_config_fields():
+    # a field missing here could never be set from a config file
+    assert set(cli._CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_config_dist_coeffs_pin_a_fixed_law(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dist": {"kind": "fixed", "coeffs": [-1, 0, 1]},
+                                "n_ladder": [2], "trials": 2}))
+    out = tmp_path / "out"
+    assert run(capsys, "minmod", "--config", str(path), "--out", str(out))[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["dist"]["coeffs"] == [-1, 0, 1]
+    # roots +-1 lie on the circle, so |f| reaches zero there
+    report = json.loads((out / "report.json").read_text())
+    assert report["per_n"]["2"]["stats"]["max"] == 0.0
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):

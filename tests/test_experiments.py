@@ -120,6 +120,11 @@ def test_config_validation():
         config(annulus_omega="loglog")
     with pytest.raises(ValueError):
         config(quad_factor=2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        config(master_seed=-1)
+    fixed = CoefficientDistribution("fixed", coeffs=(-1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=r"needs n_ladder \[2\], got \[5\]"):
+        config(dist=fixed, n_ladder=(5,))
 
 
 @pytest.mark.parametrize("ladder", [(0,), (-2, 16), (0, 1)])
@@ -238,7 +243,7 @@ def test_nonconvergence_budget(monkeypatch, run, kw):
     # the failed trial's record carries every column, as NaN
     assert set(rep.records[0]) == set(rep.record_columns)
     assert math.isnan(rep.records[0][rep.record_columns[-1]])
-    assert rep.records_csv().count("\n") == 101
+    assert rep.records_text("csv").count("\n") == 101
     failing[0] = 2
     with pytest.raises(ExperimentIntegrityError,
                        match=r"^2/100 trials failed to converge at n=\d+$"):

@@ -64,6 +64,12 @@ def test_theorem_eligibility_flags():
     assert not CoefficientDistribution(UNIFORM_INT_RAW, k=240).theorem_eligible
 
 
+@pytest.mark.parametrize("k", [0, True, "6"], ids=["zero", "bool", "string"])
+def test_k_must_be_an_int_at_least_two_for_every_kind(k):
+    with pytest.raises(ValueError, match="K must be an integer >= 2"):
+        CoefficientDistribution(RADEMACHER, k=k)
+
+
 def test_uniform_raw_support():
     d = CoefficientDistribution(UNIFORM_INT_RAW, k=6)
     rng = np.random.default_rng(0)
