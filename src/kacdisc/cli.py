@@ -145,7 +145,8 @@ _CONFIG_TYPES = {"dist": dict, "n_ladder": list, "trials": int,
 def _read_config(path: str) -> dict:
     try:
         base = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError also covers an integer past Python's 4300-digit limit
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"unreadable config {path}: {exc}")
     if not isinstance(base, dict):
         raise _UsageError(f"config {path} is not a JSON object")
@@ -162,9 +163,10 @@ def _read_config(path: str) -> dict:
     unknown = sorted(set(dist) - {f.name for f in fields(CoefficientDistribution)})
     if unknown:
         raise _UsageError(f"config {path} dist has unknown key(s) {', '.join(unknown)}")
-    coeffs = dist.get("coeffs", [])
-    if type(coeffs) is not list or any(type(c) not in (int, float) for c in coeffs):
-        raise _UsageError(f"config dist coeffs must list numbers: {coeffs!r}")
+    # a manifest echoes "coeffs": []; only the library's fixed kind takes any
+    coeffs = dist.pop("coeffs", [])
+    if coeffs != []:
+        raise _UsageError(f"config dist coeffs must be empty, got {coeffs!r}")
     return base
 
 
@@ -178,7 +180,6 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
     base = _read_config(args.config) if args.config else {}
     dist = {"kind": default_dist, **base.pop("dist", {}),
             **_given(kind=_DIST_FLAGS.get(args.dist), k=args.k)}
-    dist["coeffs"] = tuple(dist.get("coeffs", ()))
     if args.n is not None:
         try:
             base["n_ladder"] = [int(x) for x in args.n.split(",")]

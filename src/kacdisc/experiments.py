@@ -22,7 +22,7 @@ from . import limits
 from .discriminant import decompose
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
-from .polynomials import (FIXED, GAUSSIAN_COMPLEX, RADEMACHER,
+from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
                           CoefficientDistribution, Coefficients,
                           circle_value_and_slope, circle_values,
                           log_abs_deriv, sample_kac, trial_rng)
@@ -63,10 +63,6 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be nonempty")
         if any(n < 1 for n in self.n_ladder):
             raise ValueError("n_ladder entries must be >= 1")
-        degree = len(self.dist.coeffs) - 1
-        if self.dist.kind == FIXED and self.n_ladder != (degree,):
-            raise ValueError(f"a fixed distribution of degree {degree} needs "
-                             f"n_ladder [{degree}], got {list(self.n_ladder)}")
         if self.annulus_omega not in ("log2", "log3"):
             raise ValueError("annulus_omega must be 'log2' or 'log3'")
         if self.quad_factor < 16:

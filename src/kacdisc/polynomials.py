@@ -35,7 +35,7 @@ class CoefficientDistribution:
     uniform-integer kinds (values 1..k before centering); it must be an int
     >= 2 for every kind, so no echo of a law shows an unusable K.  ``coeffs``
     pins an explicit coefficient sequence for the ``fixed`` kind, which exists
-    for wiring checks, and is empty for every other kind.
+    for wiring checks.
     """
 
     kind: str
@@ -47,8 +47,8 @@ class CoefficientDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if type(self.k) is not int or self.k < 2:
             raise ValueError(f"K must be an integer >= 2, got {self.k!r}")
-        if (self.kind == FIXED) != bool(self.coeffs):
-            raise ValueError("the fixed kind, and only it, needs explicit coefficients")
+        if self.kind == FIXED and not self.coeffs:
+            raise ValueError("fixed kind needs explicit coefficients")
 
     @property
     def atom_at_zero(self) -> bool:

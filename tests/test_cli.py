@@ -159,8 +159,10 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
                       "n_ladder": [16], "trials": 3}),
     (["lln"], {"dist": {"kind": "rademacher", "coeffs": "abc"},
                "n_ladder": [8]}),
-    (["minmod"], {"dist": {"kind": "fixed", "coeffs": [1, 0, 1]},
-                  "n_ladder": [5]}),
+    (["lln"], {"dist": {"kind": "rademacher", "coeffs": [1, 10 ** 400]},
+               "n_ladder": [1]}),
+    (["minmod"], {"dist": {"kind": "fixed"}, "n_ladder": [2]}),
+    (["lln"], '{"n_ladder": [1' + "0" * 5000 + "]}"),
     (["minmod"], {"dist": {"kind": "rademacher", "coeffs": [1, 2]},
                   "n_ladder": [16]}),
     (["sample", "--n", "3", "--dist", "uniform-int-centered", "--K", "1"], None),
@@ -183,7 +185,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
         "string-ladder", "string-flag", "list-config", "misspelt-key",
-        "misspelt-dist-key", "string-dist-coeffs", "fixed-dist-wrong-degree",
+        "misspelt-dist-key", "string-dist-coeffs",
+        "huge-dist-coeffs", "fixed-dist", "5000-digit-int",
         "rademacher-dist-coeffs",
         "sample-K-1", "sample-K-0", "sample-negative-seed",
         "sample-negative-trial",
@@ -299,19 +302,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_config_keys_are_the_config_fields():
     # a field missing here could never be set from a config file
     assert set(cli._CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)}
-
-
-def test_config_dist_coeffs_pin_a_fixed_law(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"dist": {"kind": "fixed", "coeffs": [-1, 0, 1]},
-                                "n_ladder": [2], "trials": 2}))
-    out = tmp_path / "out"
-    assert run(capsys, "minmod", "--config", str(path), "--out", str(out))[0] == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["dist"]["coeffs"] == [-1, 0, 1]
-    # roots +-1 lie on the circle, so |f| reaches zero there
-    report = json.loads((out / "report.json").read_text())
-    assert report["per_n"]["2"]["stats"]["max"] == 0.0
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):

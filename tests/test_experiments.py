@@ -122,9 +122,6 @@ def test_config_validation():
         config(quad_factor=2)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         config(master_seed=-1)
-    fixed = CoefficientDistribution("fixed", coeffs=(-1.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match=r"needs n_ladder \[2\], got \[5\]"):
-        config(dist=fixed, n_ladder=(5,))
 
 
 @pytest.mark.parametrize("ladder", [(0,), (-2, 16), (0, 1)])
