@@ -59,7 +59,6 @@ class MahlerResult:
 
     log_m_quadrature: float
     log_m_roots: float
-    points_used: int
     nearest_root_distance_to_circle: float
 
 
@@ -216,5 +215,4 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
         np.sum(np.log(mod[mod > 1.0])))
     log_m_quad = _mahler_quadrature(p, quad_points)
     return MahlerResult(log_m_quadrature=log_m_quad, log_m_roots=log_m_roots,
-                        points_used=quad_points,
                         nearest_root_distance_to_circle=nearest)

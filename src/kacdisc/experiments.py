@@ -74,11 +74,7 @@ class ExperimentConfig:
         return math.log(n) ** 2 if self.annulus_omega == "log2" else math.log(n) ** 3
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dist"] = {"kind": self.dist.kind, "k": self.dist.k,
-                     "coeffs": list(self.dist.coeffs)}
-        d["n_ladder"] = list(self.n_ladder)
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,9 @@ class ExperimentReport:
     guards: dict
     record_columns: tuple
     records: list
-    schema: int = 1
 
     def to_json(self) -> str:
-        payload = {"schema": self.schema, "experiment": self.experiment,
+        payload = {"schema": 1, "experiment": self.experiment,
                    "config": self.config, "per_n": self.per_n,
                    "reference": self.reference, "guards": self.guards}
         return json.dumps(payload, sort_keys=True)
@@ -380,13 +375,12 @@ def _clustering_trial(args) -> dict:
     config, n, trial = args
     p = sample_kac(config.dist, n, config.master_seed, trial)
     rs = find_roots(p)
-    lo, hi = omega_annulus(n, config.omega(n))
-    stats = root_stats(rs, n, annuli=[(lo, hi)])
+    stats = root_stats(rs, n, omega_annulus(n, config.omega(n)))
     grid_max = float(np.max(np.abs(
         circle_values(p.coeffs, 1.0, config.quad_factor * (n + 1)))))
     bound = erdos_turan_bound(p, 2.0 * grid_max)  # factor 2 covers grid slack
     return {"n": n, "trial": trial, "status": "ok",
-            "annulus_fraction": stats.annulus_counts[(lo, hi)] / n,
+            "annulus_fraction": stats.annulus_count / n,
             "sector_count": stats.sector_count, "sector_bound": bound,
             "sector_ok": bool(stats.sector_count <= bound),
             "discrepancy": stats.discrepancy,

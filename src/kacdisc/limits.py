@@ -155,20 +155,17 @@ def d_star(tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class ConstantTable:
-    """The assembled limit constants plus quadrature metadata."""
+    """The assembled limit constants."""
 
     gamma: float
     integral_phi: float
     c_star: float
     d_star: float
-    method: dict
 
     @classmethod
     def compute(cls, tol: float = 1e-10) -> "ConstantTable":
         return cls(gamma=EULER_GAMMA, integral_phi=integral_phi(tol),
-                   c_star=c_star(tol), d_star=d_star(tol),
-                   method={"tol": tol, "series_below": SMALL_T,
-                           "asymptotic_above": LARGE_T, "tail_at": TAIL_T})
+                   c_star=c_star(tol), d_star=d_star(tol))
 
 
 def normalization_identity_check(tol: float = 1e-8) -> float:

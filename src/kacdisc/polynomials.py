@@ -21,10 +21,9 @@ GAUSSIAN_REAL = "gaussian_real"
 GAUSSIAN_COMPLEX = "gaussian_complex"
 UNIFORM_INT_CENTERED = "uniform_int_centered"
 UNIFORM_INT_RAW = "uniform_int_raw"
-FIXED = "fixed"
 
 KINDS = (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX,
-         UNIFORM_INT_CENTERED, UNIFORM_INT_RAW, FIXED)
+         UNIFORM_INT_CENTERED, UNIFORM_INT_RAW)
 
 
 @dataclass(frozen=True)
@@ -33,22 +32,17 @@ class CoefficientDistribution:
 
     ``kind`` is one of :data:`KINDS`.  ``k`` is the support size for the
     uniform-integer kinds (values 1..k before centering); it must be an int
-    >= 2 for every kind, so no echo of a law shows an unusable K.  ``coeffs``
-    pins an explicit coefficient sequence for the ``fixed`` kind, which exists
-    for wiring checks.
+    >= 2 for every kind, so no echo of a law shows an unusable K.
     """
 
     kind: str
     k: int = 240
-    coeffs: tuple = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if type(self.k) is not int or self.k < 2:
             raise ValueError(f"K must be an integer >= 2, got {self.k!r}")
-        if self.kind == FIXED and not self.coeffs:
-            raise ValueError("fixed kind needs explicit coefficients")
 
     @property
     def atom_at_zero(self) -> bool:
@@ -58,9 +52,7 @@ class CoefficientDistribution:
     @property
     def theorem_eligible(self) -> bool:
         """Mean zero, unit variance, and no atom at zero."""
-        return (self.kind in (RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX,
-                              UNIFORM_INT_CENTERED)
-                and not self.atom_at_zero)
+        return self.kind != UNIFORM_INT_RAW and not self.atom_at_zero
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == RADEMACHER:
@@ -74,14 +66,8 @@ class CoefficientDistribution:
             u = rng.integers(1, self.k + 1, size).astype(np.float64)
             sigma = math.sqrt((self.k ** 2 - 1) / 12.0)
             return (u - (self.k + 1) / 2.0) / sigma
-        if self.kind == UNIFORM_INT_RAW:
-            return rng.integers(1, self.k + 1, size).astype(np.float64)
-        # fixed
-        if size != len(self.coeffs):
-            raise ValueError(
-                f"fixed distribution has {len(self.coeffs)} coefficients, "
-                f"requested {size}")
-        return np.asarray(self.coeffs, dtype=np.float64)
+        # uniform_int_raw
+        return rng.integers(1, self.k + 1, size).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -147,16 +133,12 @@ def sample_kac(dist: CoefficientDistribution, n: int, master_seed: int,
     """Draw the n+1 coefficients of a random degree-n polynomial.
 
     Deterministic in (dist, n, master_seed, trial).  Raises
-    DegenerateDegreeError if the terminal draw is zero (impossible for the
-    built-in random kinds, possible for ``fixed``).
+    DegenerateDegreeError if the leading draw is zero, which only a law with
+    an atom at zero can give.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    rng = trial_rng(master_seed, trial)
-    draws = dist.draw(rng, n + 1)
-    if draws[-1] == 0:
-        raise DegenerateDegreeError("terminal coefficient draw was zero")
-    return Coefficients(draws)
+    return Coefficients(dist.draw(trial_rng(master_seed, trial), n + 1))
 
 
 def _stack(z: np.ndarray):

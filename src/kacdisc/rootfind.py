@@ -67,12 +67,11 @@ class RootSet:
 class RootStats:
     """Counts and discrepancy summaries of a root multiset."""
 
-    annulus_counts: dict
+    annulus_count: int
     sector_count: int
     discrepancy: float
     inside_count: int
     outside_count: int
-    on_circle_count: int
 
 
 def _initial_guesses(p: Coefficients) -> np.ndarray:
@@ -270,8 +269,7 @@ def _unit_scaled(coeffs: np.ndarray) -> Coefficients:
     return Coefficients(np.ldexp(parts, -e).view(coeffs.dtype))
 
 
-def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
+def find_roots(p: Coefficients, tol: float = DEFAULT_TOL) -> RootSet:
     """All complex roots with residuals |f(a)| / sum|c_k||a|^k, each at most
     ``tol``; raises NonConvergenceError otherwise, and ValueError unless
     0 < tol <= ROOTS_TOL_MAX."""
@@ -287,7 +285,7 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL,
     reduced = _unit_scaled(p.coeffs[zero_mult:])
 
     roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
-                                   max_iter)
+                                   DEFAULT_MAX_ITER)
     roots, residuals = _finish(reduced, roots, 2)
     if not (np.max(residuals) <= tol):
         alt, alt_res = _finish(reduced, _companion_roots(reduced), 3)
@@ -314,8 +312,9 @@ def omega_annulus(n: int, omega: float) -> tuple:
     return (max(0.0, 1.0 - omega / n), 1.0 + omega / n)
 
 
-def root_stats(rs: RootSet, n: int, annuli: list | None = None) -> RootStats:
-    """Annulus counts, almost-real sector count, and dyadic arc discrepancy.
+def root_stats(rs: RootSet, n: int, annulus: tuple) -> RootStats:
+    """Count in the annulus (lo, hi), almost-real sector count, and dyadic
+    arc discrepancy.
 
     The sector is the pair of angular slices of half-width n^(-1/2) around
     angles 0 and pi, intersected with the canonical annulus.  Discrepancy is
@@ -325,11 +324,8 @@ def root_stats(rs: RootSet, n: int, annuli: list | None = None) -> RootStats:
     mod = np.abs(rs.roots)
     ang = np.mod(np.angle(rs.roots), 2.0 * np.pi)
 
-    counts = {}
-    for (rin, rout) in (annuli or []):
-        counts[(rin, rout)] = int(np.count_nonzero((mod >= rin) & (mod <= rout)))
-
-    on_circle = np.abs(mod - 1.0) <= ON_CIRCLE_GUARD
+    lo, hi = annulus
+    count = int(np.count_nonzero((mod >= lo) & (mod <= hi)))
     inside = mod < 1.0 - ON_CIRCLE_GUARD
     outside = mod > 1.0 + ON_CIRCLE_GUARD
 
@@ -347,11 +343,10 @@ def root_stats(rs: RootSet, n: int, annuli: list | None = None) -> RootStats:
         hist, _ = np.histogram(ang, bins=m, range=(0.0, 2.0 * np.pi))
         disc = max(disc, float(np.max(np.abs(hist - n / m))))
 
-    return RootStats(annulus_counts=counts, sector_count=sector,
+    return RootStats(annulus_count=count, sector_count=sector,
                      discrepancy=disc,
                      inside_count=int(np.count_nonzero(inside)),
-                     outside_count=int(np.count_nonzero(outside)),
-                     on_circle_count=int(np.count_nonzero(on_circle)))
+                     outside_count=int(np.count_nonzero(outside)))
 
 
 def erdos_turan_bound(p: Coefficients, max_on_circle: float) -> float:

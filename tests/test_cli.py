@@ -93,7 +93,7 @@ def test_degree_below_one_is_usage_error(capsys, ladder):
 def test_sample_degree_below_one_is_usage_error(capsys):
     rc, _, err = run(capsys, "sample", "--n", "0")
     assert rc == 1
-    assert err == "usage error: --n must be >= 1\n"
+    assert err == "usage error: degree must be >= 1\n"
 
 
 def _one_line_error(rc, out, err):
@@ -104,7 +104,7 @@ def _one_line_error(rc, out, err):
 def test_disc_degree_one_is_usage_error(capsys):
     rc, out, err = run(capsys, "disc", "--coeffs=1,2")
     assert _one_line_error(rc, out, err)
-    assert err == "usage error: disc needs degree >= 2\n"
+    assert err == "usage error: decomposition needs degree >= 2\n"
 
 
 def _no_trials(*args):
@@ -165,6 +165,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["lln"], '{"n_ladder": [1' + "0" * 5000 + "]}"),
     (["minmod"], {"dist": {"kind": "rademacher", "coeffs": [1, 2]},
                   "n_ladder": [16]}),
+    (["lln"], {"dist": {"kind": "rademacher", "coeffs": []},
+               "n_ladder": [8]}),
     (["sample", "--n", "3", "--dist", "uniform-int-centered", "--K", "1"], None),
     (["sample", "--n", "3", "--K", "0"], None),
     (["sample", "--n", "3", "--seed", "-1"], None),
@@ -187,7 +189,7 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "string-ladder", "string-flag", "list-config", "misspelt-key",
         "misspelt-dist-key", "string-dist-coeffs",
         "huge-dist-coeffs", "fixed-dist", "5000-digit-int",
-        "rademacher-dist-coeffs",
+        "rademacher-dist-coeffs", "empty-dist-coeffs",
         "sample-K-1", "sample-K-0", "sample-negative-seed",
         "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
@@ -206,6 +208,8 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     rc, out, err = run(capsys, *argv)
     assert _one_line_error(rc, out, err)
     assert err.startswith("usage error:")
+    if isinstance(cfg, dict) and "coeffs" in cfg.get("dist", {}):
+        assert "coeffs" in err  # a dist holds only kind and k
 
 
 def test_constants_table_degree_below_two_is_usage_error(capsys):

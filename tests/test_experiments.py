@@ -16,7 +16,7 @@ from kacdisc.experiments import (ExperimentConfig, _refine_circle_minimum,
                                  run_min_modulus, run_symmetry, summarize)
 from kacdisc.limits import EULER_GAMMA
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
-                                 CoefficientDistribution,
+                                 CoefficientDistribution, Coefficients,
                                  circle_value_and_slope, circle_values,
                                  sample_kac)
 
@@ -27,6 +27,13 @@ def config(**kw):
     base = dict(dist=RAD, n_ladder=(24,), trials=6, master_seed=5)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def pin_sample(monkeypatch, *coeffs):
+    """Make every trial draw the given coefficients; the runs that use this
+    keep one worker, so the trials run in this process and see the patch."""
+    p = Coefficients(np.array(coeffs))
+    monkeypatch.setattr(experiments, "sample_kac", lambda *args: p)
 
 
 # --------------------------------------------------------------- summarize
@@ -138,10 +145,9 @@ def test_ineligible_distribution_rejected():
 
 # ----------------------------------------------------------------- runners
 
-def test_lln_wiring_on_fixed_polynomial():
-    fixed = CoefficientDistribution("fixed", coeffs=(-1.0, 0.0, 1.0))
-    rep = run_lln(config(dist=fixed, n_ladder=(2,), trials=4,
-                         allow_ineligible=True))
+def test_lln_wiring_on_fixed_polynomial(monkeypatch):
+    pin_sample(monkeypatch, -1.0, 0.0, 1.0)
+    rep = run_lln(config(n_ladder=(2,), trials=4))
     stats = rep.per_n["2"]["stats"]
     assert stats["mean"] == -math.log(2)
     assert stats["std"] == 0.0
@@ -256,11 +262,11 @@ def test_mahler_runner_gaussian():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_min_modulus_monomial():
+def test_min_modulus_monomial(monkeypatch):
     # |z^16| = 1 on the circle; the reversed half is q = 1 with q' = 0, so
     # the refinement meets zero slope there and must take no step
-    fixed = CoefficientDistribution("fixed", coeffs=(0.0,) * 16 + (1.0,))
-    rep = run_min_modulus(config(dist=fixed, n_ladder=(16,), trials=2))
+    pin_sample(monkeypatch, *(0.0,) * 16, 1.0)
+    rep = run_min_modulus(config(n_ladder=(16,), trials=2))
     assert rep.per_n["16"]["stats"]["mean"] == pytest.approx(4.0, abs=1e-12)
     assert rep.per_n["16"]["stats_refined"]["mean"] == pytest.approx(4.0, abs=1e-12)
 
@@ -362,10 +368,10 @@ def test_clustering_fraction_trend():
                for n in (300, 700, 1500))
 
 
-def test_clustering_constructed_circle_roots():
+def test_clustering_constructed_circle_roots(monkeypatch):
     # x^n - 1 has every root on the unit circle
-    fixed = CoefficientDistribution("fixed", coeffs=(-1.0,) + (0.0,) * 15 + (1.0,))
-    rep = run_clustering(config(dist=fixed, n_ladder=(16,), trials=1))
+    pin_sample(monkeypatch, -1.0, *(0.0,) * 15, 1.0)
+    rep = run_clustering(config(n_ladder=(16,), trials=1))
     assert rep.per_n["16"]["annulus_fraction"]["mean"] == 1.0
 
 

@@ -1,9 +1,13 @@
-"""Every name the package exports has a caller inside the package.
+"""Every name the package exports has a caller inside the package, and
+every field of its dataclasses a reader.
 
 A public helper that only tests call is a second thing to keep in step
 with the code that does the work, so each exported name must be used
 (as a name or an attribute) in some module other than ``__init__.py``,
-or be listed below with the reason it stays.
+or be listed below with the reason it stays.  The same holds for result
+fields: each field of a dataclass defined in the package must be read as
+an attribute in some module other than ``__init__.py``, or its class be
+listed with the reason it stays.
 """
 
 import ast
@@ -23,6 +27,12 @@ NO_PACKAGE_CALLER = {
                            "(see ROADMAP)",
 }
 
+# dataclasses with fields no package module reads, kept for these readers
+WHOLE_CLASS_READERS = {
+    "SummaryStats": "to_dict writes it whole into report.json",
+    "MahlerResult": "criterion 05 reads it",
+}
+
 
 def _exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -31,17 +41,32 @@ def _exported_names():
             for alias in node.names}
 
 
+def _module_nodes():
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
 def _used_names():
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    for node in _module_nodes():
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     return used
+
+
+def _is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields():
+    return {node.name: {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)}
+            for node in _module_nodes()
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
 
 
 def test_every_export_has_a_package_caller_or_a_reason():
@@ -50,3 +75,15 @@ def test_every_export_has_a_package_caller_or_a_reason():
         f"exported with no caller in the package: "
         f"{sorted(uncalled - set(NO_PACKAGE_CALLER))}; listed but called or "
         f"not exported: {sorted(set(NO_PACKAGE_CALLER) - uncalled)}")
+
+
+def test_every_result_field_has_a_package_reader():
+    read = {node.attr for node in _module_nodes()
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {cls: sorted(f - read) for cls, f in _dataclass_fields().items()
+              if f - read}
+    unlisted = {c: f for c, f in unread.items() if c not in WHOLE_CLASS_READERS}
+    assert set(unread) == set(WHOLE_CLASS_READERS), (
+        f"fields with no reader in the package: {unlisted}; listed but every "
+        f"field read: {sorted(set(WHOLE_CLASS_READERS) - set(unread))}")

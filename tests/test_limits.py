@@ -94,7 +94,6 @@ def test_constant_table():
     assert abs(tbl.d_star - D_STAR) < 1e-9
     assert abs(tbl.c_star - C_STAR) < 1e-9
     assert tbl.gamma == EULER_GAMMA
-    assert tbl.method["series_below"] == 0.01
 
 
 def test_integral_phi_tol_guard():

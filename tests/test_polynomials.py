@@ -78,9 +78,10 @@ def test_uniform_raw_support():
 
 
 def test_zero_leading_coefficient_rejected():
-    d = CoefficientDistribution("fixed", coeffs=(1.0, 2.0, 0.0))
+    # K = 3 puts an atom at zero: seed 0, trial 1 draws (0, 1.22, 0)
+    d = CoefficientDistribution(UNIFORM_INT_CENTERED, k=3)
     with pytest.raises(DegenerateDegreeError):
-        sample_kac(d, 2, 0, 0)
+        sample_kac(d, 2, 0, 1)
     with pytest.raises(DegenerateDegreeError):
         coeffs(1.0, 0.0)
 

@@ -91,16 +91,16 @@ def test_root_stats_unit_circle():
     n = 32
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     rs = RootSet(roots, np.zeros(n), 0)
-    stats = root_stats(rs, n, annuli=[(0.9, 1.1)])
-    assert stats.annulus_counts[(0.9, 1.1)] == n
+    stats = root_stats(rs, n, (0.9, 1.1))
+    assert stats.annulus_count == n
     assert stats.discrepancy <= 1.0
-    assert stats.on_circle_count == n
     assert stats.inside_count == 0 and stats.outside_count == 0
 
 
 def test_root_stats_inside_outside():
     rs = find_roots(coeffs(-4.0, 0.0, 1.0))  # x^2 - 4
-    stats = root_stats(rs, 2)
+    stats = root_stats(rs, 2, (0.5, 1.5))
+    assert stats.annulus_count == 0
     assert stats.inside_count == 0 and stats.outside_count == 2
 
 
@@ -110,8 +110,8 @@ def test_root_stats_permutation_invariant():
     perm = np.random.default_rng(0).permutation(rs.count)
     rs2 = RootSet(rs.roots[perm].copy(), rs.residuals[perm].copy(),
                   rs.iterations)
-    a = root_stats(rs, 24, annuli=[(0.5, 1.5)])
-    b = root_stats(rs2, 24, annuli=[(0.5, 1.5)])
+    a = root_stats(rs, 24, (0.5, 1.5))
+    b = root_stats(rs2, 24, (0.5, 1.5))
     assert a == b
 
 
@@ -121,8 +121,8 @@ def test_annulus_fraction_large_n():
     p = sample_kac(CoefficientDistribution(RADEMACHER), n, 3, 0)
     rs = find_roots(p)
     lo, hi = omega_annulus(n, math.log(n) ** 2)
-    stats = root_stats(rs, n, annuli=[(lo, hi)])
-    assert stats.annulus_counts[(lo, hi)] / n >= 0.9
+    stats = root_stats(rs, n, (lo, hi))
+    assert stats.annulus_count / n >= 0.9
 
 
 def test_erdos_turan_log_term_zero():
@@ -142,18 +142,20 @@ def test_erdos_turan_invalid():
         erdos_turan_bound(p, 0.5)
 
 
-def test_companion_fallback_converges():
+def test_companion_fallback_converges(monkeypatch):
     # starve the iteration so the eigenvalue fallback must finish the job
+    monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 1)
     p = sample_kac(CoefficientDistribution(RADEMACHER), 30, 13, 0)
-    rs = find_roots(p, max_iter=1)
+    rs = find_roots(p)
     assert np.max(rs.residuals) <= 1e-12
 
 
-def test_nonconvergence_reports_worst_residual():
+def test_nonconvergence_reports_worst_residual(monkeypatch):
     from kacdisc.errors import NonConvergenceError
+    monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 5)
     p = sample_kac(CoefficientDistribution(RADEMACHER), 12, 13, 1)
     with pytest.raises(NonConvergenceError) as exc:
-        find_roots(p, tol=1e-30, max_iter=5)
+        find_roots(p, tol=1e-30)
     assert exc.value.worst_residual > 0
 
 
