@@ -8,13 +8,32 @@ shared freely between worker processes.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateDegreeError, NonFiniteCoefficientError
+
+
+def _pin_blas_to_one_thread():
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    The evaluation kernel's products are small GEMMs, and OpenBLAS's own
+    threads would compete with the experiment pool's workers, which fork
+    from this process and inherit the pin; so the worker count alone sets
+    how many CPUs a run uses.  Nothing is done when numpy carries no
+    bundled OpenBLAS.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
+
+
+_pin_blas_to_one_thread()
 
 RADEMACHER = "rademacher"
 GAUSSIAN_REAL = "gaussian_real"
@@ -156,58 +175,77 @@ def _stack(z: np.ndarray):
     return inside, int(np.count_nonzero(inside)), w
 
 
+def _padded(w: np.ndarray, mi: int):
+    """The stacked points on a zero-padded axis: (points, off, h).
+
+    Each half is padded with zeros to a multiple of 16 points, the inside
+    half at its front and the outside half at its end, so the halves meet
+    at column ``h`` and the given points stay contiguous at
+    [off, off + w.size).  Every product and elementwise loop over the axis
+    then has a length that is a multiple of 16, on which numpy's and
+    OpenBLAS's vector paths round each point alike, so a point's bits do
+    not depend on the other points of its call (a one-column product goes
+    to gemv and a one-point in-place product to a scalar loop, which round
+    differently).
+    """
+    h = -(-mi // 16) * 16
+    off = h - mi
+    padded = np.zeros(h + -(-(w.size - mi) // 16) * 16, dtype=np.complex128)
+    padded[off:off + w.size] = w
+    return padded, off, h
+
+
 def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
     """Values (and derivatives) at stacked points in about sqrt(n) steps.
 
     Paterson-Stockmeyer baby steps / giant steps: with B = ceil(sqrt(n+1)),
     p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The (B x
-    points) power table w^0..w^(B-1) is formed once per point, every
-    zero-padded block of B coefficients is contracted against it in one
-    ``np.einsum`` per half (plain c_einsum: a BLAS product would start
-    OpenBLAS threads that oversubscribe the worker pool), and Horner in w^B
-    runs over the ceil((n+1)/B) block values.  Real coefficients are
-    contracted in float64 on the table's float64 view, where c_einsum has
-    vector loops (it has none for complex products); complex ones keep the
-    complex contraction, against the table stored points-major, the order
-    that measured faster for them.  The derivative reuses the power table
-    on the coefficients (k+1) c_(k+1).  The first ``mi`` points take c_k,
-    the rest the reversed coefficients.
+    points) power table w^0..w^(B-1) is formed once per point on the
+    padded axis of :func:`_padded`, the zero-padded blocks of B
+    coefficients are contracted against it by one ``np.matmul`` (a BLAS
+    GEMM, pinned to one thread when this module is imported) per half,
+    and Horner in w^B runs over the ceil((n+1)/B) block values.  Real
+    coefficients are contracted in float64 on the table's float64 view.
+    The derivative reuses the power table on the coefficients
+    (k+1) c_(k+1).  The first ``mi`` points take c_k, the rest the
+    reversed coefficients.
     """
     n = coeffs.size - 1
     r = math.isqrt(n + 1)
     nb = r if r * r == n + 1 else r + 1
     nk = -(-(n + 1) // nb)
     rows = 2 if deriv else 1
-    blocks = np.zeros((2, rows, nk * nb), dtype=coeffs.dtype)
-    blocks[0, 0, :n + 1] = coeffs
-    blocks[1, 0, :n + 1] = coeffs[::-1]
+    cols = np.zeros((2, rows, nk * nb), dtype=coeffs.dtype)
+    cols[0, 0, :n + 1] = coeffs
+    cols[1, 0, :n + 1] = coeffs[::-1]
     if deriv:
         mult = np.arange(1, n + 1)
-        blocks[0, 1, :n] = coeffs[1:] * mult
-        blocks[1, 1, :n] = coeffs[-2::-1] * mult
-    blocks = blocks.reshape(2, rows, nk, nb)
-    cplx = np.iscomplexobj(coeffs)
-    powers = (np.empty((w.size, nb), dtype=np.complex128).T if cplx
-              else np.empty((nb, w.size), dtype=np.complex128))
+        cols[0, 1, :n] = coeffs[1:] * mult
+        cols[1, 1, :n] = coeffs[-2::-1] * mult
+    # row k * rows + s of a half holds block k of coefficient row s
+    blocks = (cols.reshape(2, rows, nk, nb).transpose(0, 2, 1, 3)
+              .reshape(2, nk * rows, nb))
+    pw, off, h = _padded(w, mi)
+    powers = np.empty((nb, pw.size), dtype=np.complex128)
     powers[0] = 1.0
-    powers[1:] = w
+    powers[1:] = pw
     np.multiply.accumulate(powers, axis=0, out=powers)
-    giant = powers[-1] * w
-    vals = np.empty((nk, rows, w.size), dtype=np.complex128)
-    if cplx:
-        table, out, m = powers, vals, mi
-    else:
-        # the float64 view of the row-major table interleaves Re w^j and
-        # Im w^j of each point along row j, as the float64 view of vals
-        # interleaves the parts of the block values: real blocks contract
-        # against it straight into vals
-        table, out, m = powers.view(np.float64), vals.view(np.float64), 2 * mi
+    giant = powers[-1] * pw
+    vals = np.empty((nk, rows, pw.size), dtype=np.complex128)
+    table, out, m = powers, vals.reshape(nk * rows, -1), h
+    if not np.iscomplexobj(coeffs):
+        # the float64 view of the table interleaves Re w^j and Im w^j of
+        # each point along row j, as the float64 view of vals interleaves
+        # the parts of the block values: real blocks contract against it
+        # straight into vals
+        table, out, m = table.view(np.float64), out.view(np.float64), 2 * h
     for half, sl in zip(blocks, (slice(None, m), slice(m, None))):
-        np.einsum("skj,jm->ksm", half, table[:, sl], out=out[:, :, sl])
+        np.matmul(half, table[:, sl], out=out[:, sl])
     acc = vals[-1]
     for k in range(nk - 2, -1, -1):
         acc *= giant
         acc += vals[k]
+    acc = acc[:, off:off + w.size]
     return acc[0], (acc[1] if deriv else None)
 
 
@@ -222,10 +260,11 @@ def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
     products), the coefficient columns are contracted against them in one
     plain ``np.einsum`` per half (in float64 on the table's float64 view
     for real coefficients, complex otherwise) and Horner in w runs over
-    the B column values.  The scale takes the same steps in float64 on
-    |c_k| and |w|.  The solver's kernel (:func:`_blocked_values`) runs the
-    opposite order, baby powers and block values and then Horner in w^B,
-    and this shares none of its code or arrays.  The first ``mi`` points
+    the B column values, all on the padded axis of :func:`_padded`.  The
+    scale takes the same steps in float64 on |c_k| and |w|.  The solver's
+    kernel (:func:`_blocked_values`) runs the opposite order, baby powers
+    and block values and then Horner in w^B, and this shares none of its
+    arithmetic or arrays, only the point layout.  The first ``mi`` points
     take c_k, the rest the reversed coefficients.
     """
     n = coeffs.size - 1
@@ -237,41 +276,43 @@ def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
     cols[1, :n + 1] = coeffs[::-1]
     cols = cols.reshape(2, nk, nb)
     acols = np.abs(cols)
-    aw = np.abs(w)
-    big, abig = w.copy(), aw.copy()
+    pw, off, h = _padded(w, mi)
+    aw = np.abs(pw)
+    big, abig = pw.copy(), aw.copy()
     for _ in range(nb - 1):
-        big *= w
+        big *= pw
         abig *= aw
     cplx = np.iscomplexobj(coeffs)
     # complex columns contract faster against a points-major table; the
     # rows are filled by a loop, which runs faster than an accumulate
     # along them
-    giant = (np.empty((w.size, nk), dtype=np.complex128).T if cplx
-             else np.empty((nk, w.size), dtype=np.complex128))
-    agiant = np.empty((nk, w.size), dtype=np.float64)
+    giant = (np.empty((pw.size, nk), dtype=np.complex128).T if cplx
+             else np.empty((nk, pw.size), dtype=np.complex128))
+    agiant = np.empty((nk, pw.size), dtype=np.float64)
     giant[0], agiant[0] = 1.0, 1.0
     for k in range(1, nk):
         np.multiply(giant[k - 1], big, out=giant[k])
         np.multiply(agiant[k - 1], abig, out=agiant[k])
-    vals = np.empty((nb, w.size), dtype=np.complex128)
-    scales = np.empty((nb, w.size), dtype=np.float64)
+    vals = np.empty((nb, pw.size), dtype=np.complex128)
+    scales = np.empty((nb, pw.size), dtype=np.float64)
     if cplx:
-        table, out, m = giant, vals, mi
+        table, out, m = giant, vals, h
     else:
         # the float64 views interleave the parts of each point, so real
         # columns contract against the table straight into vals
-        table, out, m = giant.view(np.float64), vals.view(np.float64), 2 * mi
-    for h, sl, asl in ((0, slice(None, m), slice(None, mi)),
-                       (1, slice(m, None), slice(mi, None))):
-        np.einsum("kj,km->jm", cols[h], table[:, sl], out=out[:, sl])
-        np.einsum("kj,km->jm", acols[h], agiant[:, asl], out=scales[:, asl])
+        table, out, m = giant.view(np.float64), vals.view(np.float64), 2 * h
+    for half, sl, asl in ((0, slice(None, m), slice(None, h)),
+                          (1, slice(m, None), slice(h, None))):
+        np.einsum("kj,km->jm", cols[half], table[:, sl], out=out[:, sl])
+        np.einsum("kj,km->jm", acols[half], agiant[:, asl],
+                  out=scales[:, asl])
     f, s = vals[-1], scales[-1]
     for j in range(nb - 2, -1, -1):
-        f *= w
+        f *= pw
         f += vals[j]
         s *= aw
         s += scales[j]
-    return f, s
+    return f[off:off + w.size], s[off:off + w.size]
 
 
 def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:

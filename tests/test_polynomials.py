@@ -1,5 +1,7 @@
+import ctypes
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from kacdisc import polynomials
 from kacdisc.errors import (DegenerateDegreeError, KacdiscError,
                             NonFiniteCoefficientError)
+from kacdisc.experiments import _run_trials
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  UNIFORM_INT_CENTERED, UNIFORM_INT_RAW,
                                  CoefficientDistribution, Coefficients,
@@ -371,14 +374,18 @@ def test_relative_residual_reads_overflow_as_inf():
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("n", [7, 128, 143, 800])
 def test_newton_ratio_independent_of_call_length(kind, n):
-    # a point's ratio, and its value and slope on the circle, do not depend
-    # on the other points of its call, so trials can later share one call
-    # without changing their records
+    # a point's ratio, log|p'|, residual, and value and slope on the
+    # circle do not depend on the other points of its call, so trials can
+    # later share one call without changing their records
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
+    for where in KERNEL_WHERES:
+        z = _kernel_points(n, where, 300)
+        for fn in (newton_ratio, log_abs_deriv, relative_residual):
+            together = fn(p, z)
+            alone = np.concatenate([fn(p, z[t:t + 1])
+                                    for t in range(z.size)])
+            assert alone.tobytes() == together.tobytes(), (where, fn)
     z = _kernel_points(n, "mixed", 300)
-    together = newton_ratio(p, z)
-    alone = np.concatenate([newton_ratio(p, z[t:t + 1]) for t in range(z.size)])
-    assert alone.tobytes() == together.tobytes()
     thetas = np.angle(z)
     together = circle_value_and_slope(p.coeffs, thetas)
     alone = [circle_value_and_slope(p.coeffs, thetas[t:t + 1])
@@ -386,6 +393,24 @@ def test_newton_ratio_independent_of_call_length(kind, n):
     for i in (0, 1):
         assert (np.concatenate([a[i] for a in alone]).tobytes()
                 == together[i].tobytes())
+
+
+BUNDLED_OPENBLAS = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                          .glob("libscipy_openblas64_*.so"))
+
+
+def _blas_threads(_):
+    lib = ctypes.CDLL(str(BUNDLED_OPENBLAS[0]))
+    return lib.scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(not BUNDLED_OPENBLAS,
+                    reason="numpy carries no bundled OpenBLAS")
+def test_bundled_openblas_runs_one_thread_here_and_in_pool_workers():
+    # importing kacdisc pins the kernel's BLAS to one thread, and the
+    # forked pool workers inherit the pin
+    assert _blas_threads(None) == 1
+    assert _run_trials(_blas_threads, [0, 1], 2) == [1, 1]
 
 
 def test_kernel_handles_empty_input():
