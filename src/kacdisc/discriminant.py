@@ -78,7 +78,7 @@ def double_root_guard(rs: RootSet, p: Coefficients, logfp: np.ndarray) -> bool:
 
 def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
     """Trapezoid mean of log|p| on the uniform unit-circle grid."""
-    vals = np.abs(circle_values(p.coeffs, 1.0, quad_points))
+    vals = np.abs(circle_values(p.coeffs, quad_points))
     return float(np.mean(np.log(vals)))
 
 

@@ -340,7 +340,7 @@ def _mahler_trial(args) -> dict:
             resamples += 1
             continue
         p = Coefficients(draws)
-        vals = np.abs(circle_values(p.coeffs, 1.0, quad_points))
+        vals = np.abs(circle_values(p.coeffs, quad_points))
         if vals.min() < MIN_MODULUS_GUARD:
             resamples += 1
             continue
@@ -377,7 +377,7 @@ def _clustering_trial(args) -> dict:
     rs = find_roots(p)
     stats = root_stats(rs, n, omega_annulus(n, config.omega(n)))
     grid_max = float(np.max(np.abs(
-        circle_values(p.coeffs, 1.0, config.quad_factor * (n + 1)))))
+        circle_values(p.coeffs, config.quad_factor * (n + 1)))))
     bound = erdos_turan_bound(p, 2.0 * grid_max)  # factor 2 covers grid slack
     return {"n": n, "trial": trial, "status": "ok",
             "annulus_fraction": stats.annulus_count / n,
@@ -455,7 +455,7 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
 def _minmod_trial(args) -> dict:
     config, n, trial = args
     p = sample_kac(config.dist, n, config.master_seed, trial)
-    mags = np.abs(circle_values(p.coeffs, 1.0, config.quad_factor * (n + 1)))
+    mags = np.abs(circle_values(p.coeffs, config.quad_factor * (n + 1)))
     refined = _refine_circle_minimum(p.coeffs, mags)
     return {"n": n, "trial": trial, "status": "ok",
             "statistic": math.sqrt(n) * float(mags.min()),

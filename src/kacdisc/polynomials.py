@@ -161,54 +161,51 @@ def sample_kac(dist: CoefficientDistribution, n: int, master_seed: int,
 
 
 def _stack(z: np.ndarray):
-    """The stacked points [z inside | 1/z outside].
+    """The evaluation axis of the points z: (w, h, pos).
 
     A point with |z| <= 1 is evaluated as p(z) = sum_k c_k z^k and any other
     as the reversed polynomial q(u) = u^n p(1/u) at u = 1/z, so no power of a
-    modulus above one is ever formed.
-
-    Returns (inside, mi, w): the mask, the number of inside points and the
-    stacked points, whose first ``mi`` entries are the inside ones.
+    modulus above one is ever formed.  The axis ``w`` holds the inside
+    points before column ``h`` and the reciprocals of the outside ones from
+    column ``h`` on, each half zero-padded to a multiple of 16 points, the
+    inside half at its front and the outside half at its end.  Every
+    product and elementwise loop over the axis then has a length that is a
+    multiple of 16, on which numpy's and OpenBLAS's vector paths round each
+    point alike, so a point's bits do not depend on the other points of its
+    call (a one-column product goes to gemv and a one-point in-place
+    product to a scalar loop, which round differently).  ``pos`` has the
+    shape of z and holds each point's column, so ``pos < h`` marks the
+    inside points and ``x[pos]`` reads a result on the axis back in the
+    order of z.  The padded columns hold w = 0, where a quotient of the
+    values may divide by zero, so callers divide only inside
+    ``np.errstate``.
     """
     inside = np.abs(z) <= 1.0
-    w = np.concatenate([z[inside], 1.0 / z[~inside]])
-    return inside, int(np.count_nonzero(inside)), w
-
-
-def _padded(w: np.ndarray, mi: int):
-    """The stacked points on a zero-padded axis: (points, off, h).
-
-    Each half is padded with zeros to a multiple of 16 points, the inside
-    half at its front and the outside half at its end, so the halves meet
-    at column ``h`` and the given points stay contiguous at
-    [off, off + w.size).  Every product and elementwise loop over the axis
-    then has a length that is a multiple of 16, on which numpy's and
-    OpenBLAS's vector paths round each point alike, so a point's bits do
-    not depend on the other points of its call (a one-column product goes
-    to gemv and a one-point in-place product to a scalar loop, which round
-    differently).
-    """
+    mi = int(np.count_nonzero(inside))
     h = -(-mi // 16) * 16
-    off = h - mi
-    padded = np.zeros(h + -(-(w.size - mi) // 16) * 16, dtype=np.complex128)
-    padded[off:off + w.size] = w
-    return padded, off, h
+    mo = z.size - mi
+    w = np.zeros(h + -(-mo // 16) * 16, dtype=np.complex128)
+    w[h - mi:h] = z[inside]
+    w[h:h + mo] = 1.0 / z[~inside]
+    pos = np.empty(z.shape, dtype=np.intp)
+    pos[inside] = np.arange(h - mi, h)
+    pos[~inside] = np.arange(h, h + mo)
+    return w, h, pos
 
 
-def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
-    """Values (and derivatives) at stacked points in about sqrt(n) steps.
+def _blocked_values(coeffs: np.ndarray, w: np.ndarray, h: int, deriv: bool):
+    """Values (and derivatives) on the point axis in about sqrt(n) steps.
 
     Paterson-Stockmeyer baby steps / giant steps: with B = ceil(sqrt(n+1)),
     p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The (B x
-    points) power table w^0..w^(B-1) is formed once per point on the
-    padded axis of :func:`_padded`, the zero-padded blocks of B
-    coefficients are contracted against it by one ``np.matmul`` (a BLAS
-    GEMM, pinned to one thread when this module is imported) per half,
-    and Horner in w^B runs over the ceil((n+1)/B) block values.  Real
-    coefficients are contracted in float64 on the table's float64 view.
-    The derivative reuses the power table on the coefficients
-    (k+1) c_(k+1).  The first ``mi`` points take c_k, the rest the
-    reversed coefficients.
+    points) power table w^0..w^(B-1) is formed once per point of the axis
+    of :func:`_stack`, the zero-padded blocks of B coefficients are
+    contracted against it by one ``np.matmul`` (a BLAS GEMM, pinned to one
+    thread when this module is imported) per half, and Horner in w^B runs
+    over the ceil((n+1)/B) block values.  Real coefficients are contracted
+    in float64 on the table's float64 view.  The derivative reuses the
+    power table on the coefficients (k+1) c_(k+1).  The columns before
+    ``h`` take c_k, the rest the reversed coefficients.
     """
     n = coeffs.size - 1
     r = math.isqrt(n + 1)
@@ -225,13 +222,12 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
     # row k * rows + s of a half holds block k of coefficient row s
     blocks = (cols.reshape(2, rows, nk, nb).transpose(0, 2, 1, 3)
               .reshape(2, nk * rows, nb))
-    pw, off, h = _padded(w, mi)
-    powers = np.empty((nb, pw.size), dtype=np.complex128)
+    powers = np.empty((nb, w.size), dtype=np.complex128)
     powers[0] = 1.0
-    powers[1:] = pw
+    powers[1:] = w
     np.multiply.accumulate(powers, axis=0, out=powers)
-    giant = powers[-1] * pw
-    vals = np.empty((nk, rows, pw.size), dtype=np.complex128)
+    giant = powers[-1] * w
+    vals = np.empty((nk, rows, w.size), dtype=np.complex128)
     table, out, m = powers, vals.reshape(nk * rows, -1), h
     if not np.iscomplexobj(coeffs):
         # the float64 view of the table interleaves Re w^j and Im w^j of
@@ -245,26 +241,25 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, mi: int, deriv: bool):
     for k in range(nk - 2, -1, -1):
         acc *= giant
         acc += vals[k]
-    acc = acc[:, off:off + w.size]
     return acc[0], (acc[1] if deriv else None)
 
 
-def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
-    """Values and scales sum_k |c_k| |w|^k at stacked points in about
+def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, h: int):
+    """Values and scales sum_k |c_k| |w|^k on the evaluation axis in about
     3 sqrt(n) vectorised steps: the residual certificate's own evaluator.
 
     The Paterson-Stockmeyer split taken giant steps first: with
     B = ceil(sqrt(n+1)), nk = ceil((n+1)/B) and W = w^B, formed by B - 1
     products, p(w) = sum_j w^j V_j where V_j = sum_k c_(kB+j) W^k.  The
-    giant powers W^0..W^(nk-1) are tabulated once per point (nk - 1
-    products), the coefficient columns are contracted against them in one
-    plain ``np.einsum`` per half (in float64 on the table's float64 view
-    for real coefficients, complex otherwise) and Horner in w runs over
-    the B column values, all on the padded axis of :func:`_padded`.  The
-    scale takes the same steps in float64 on |c_k| and |w|.  The solver's
-    kernel (:func:`_blocked_values`) runs the opposite order, baby powers
-    and block values and then Horner in w^B, and this shares none of its
-    arithmetic or arrays, only the point layout.  The first ``mi`` points
+    (nk x points) giant table W^0..W^(nk-1) is formed once per point of
+    the axis of :func:`_stack` (nk - 1 products), the transposed
+    coefficient columns are contracted against it by one ``np.matmul`` per
+    half (in float64 on the table's float64 view for real coefficients)
+    and Horner in w runs over the B column values.  The scale takes the
+    same steps in float64 on |c_k| and |w|.  The solver's kernel
+    (:func:`_blocked_values`) runs the opposite order, baby powers and
+    block values and then Horner in w^B, and this shares none of its
+    arithmetic or arrays, only the point layout.  The columns before ``h``
     take c_k, the rest the reversed coefficients.
     """
     n = coeffs.size - 1
@@ -274,45 +269,40 @@ def _giant_first_with_scale(coeffs: np.ndarray, w: np.ndarray, mi: int):
     cols = np.zeros((2, nk * nb), dtype=coeffs.dtype)
     cols[0, :n + 1] = coeffs
     cols[1, :n + 1] = coeffs[::-1]
-    cols = cols.reshape(2, nk, nb)
+    # column j of a half's (B x nk) matrix is coefficient c_(kB+j) at row k
+    cols = cols.reshape(2, nk, nb).transpose(0, 2, 1)
     acols = np.abs(cols)
-    pw, off, h = _padded(w, mi)
-    aw = np.abs(pw)
-    big, abig = pw.copy(), aw.copy()
+    aw = np.abs(w)
+    big, abig = w.copy(), aw.copy()
     for _ in range(nb - 1):
-        big *= pw
+        big *= w
         abig *= aw
-    cplx = np.iscomplexobj(coeffs)
-    # complex columns contract faster against a points-major table; the
-    # rows are filled by a loop, which runs faster than an accumulate
+    # the rows are filled by a loop, which runs faster than an accumulate
     # along them
-    giant = (np.empty((pw.size, nk), dtype=np.complex128).T if cplx
-             else np.empty((nk, pw.size), dtype=np.complex128))
-    agiant = np.empty((nk, pw.size), dtype=np.float64)
+    giant = np.empty((nk, w.size), dtype=np.complex128)
+    agiant = np.empty((nk, w.size), dtype=np.float64)
     giant[0], agiant[0] = 1.0, 1.0
     for k in range(1, nk):
         np.multiply(giant[k - 1], big, out=giant[k])
         np.multiply(agiant[k - 1], abig, out=agiant[k])
-    vals = np.empty((nb, pw.size), dtype=np.complex128)
-    scales = np.empty((nb, pw.size), dtype=np.float64)
-    if cplx:
-        table, out, m = giant, vals, h
-    else:
+    vals = np.empty((nb, w.size), dtype=np.complex128)
+    scales = np.empty((nb, w.size), dtype=np.float64)
+    table, out, m = giant, vals, h
+    if not np.iscomplexobj(coeffs):
         # the float64 views interleave the parts of each point, so real
         # columns contract against the table straight into vals
         table, out, m = giant.view(np.float64), vals.view(np.float64), 2 * h
     for half, sl, asl in ((0, slice(None, m), slice(None, h)),
                           (1, slice(m, None), slice(h, None))):
-        np.einsum("kj,km->jm", cols[half], table[:, sl], out=out[:, sl])
-        np.einsum("kj,km->jm", acols[half], agiant[:, asl],
-                  out=scales[:, asl])
+        np.matmul(cols[half], table[:, sl], out=out[:, sl])
+        np.matmul(acols[half], agiant[:, asl], out=scales[:, asl])
     f, s = vals[-1], scales[-1]
     for j in range(nb - 2, -1, -1):
-        f *= pw
+        f *= w
         f += vals[j]
         s *= aw
         s += scales[j]
-    return f[off:off + w.size], s[off:off + w.size]
+    return f, s
 
 
 def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
@@ -320,13 +310,12 @@ def log_abs_deriv(p: Coefficients, z: np.ndarray) -> np.ndarray:
     n = p.degree
     dcoeffs = p.coeffs[1:] * np.arange(1, n + 1)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, w = _stack(z)
-    f, _ = _blocked_values(dcoeffs, w, mi, False)
-    out = np.empty(z.shape, dtype=np.float64)
+    w, h, pos = _stack(z)
+    f, _ = _blocked_values(dcoeffs, w, h, False)
+    outside = pos >= h
     with np.errstate(divide="ignore"):
-        out[inside] = np.log(np.abs(f[:mi]))
-        out[~inside] = ((n - 1) * np.log(np.abs(z[~inside]))
-                        + np.log(np.abs(f[mi:])))
+        out = np.log(np.abs(f[pos]))
+        out[outside] += (n - 1) * np.log(np.abs(z[outside]))
     return out
 
 
@@ -337,15 +326,15 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
     p/p' at z = 1/u equals q(u) / (u * (n q(u) - u q'(u))).
     """
     n = p.degree
-    z = np.asarray(z, dtype=np.complex128)
-    inside, mi, w = _stack(z)
-    f, fp = _blocked_values(p.coeffs, w, mi, True)
-    out = np.empty(z.shape, dtype=np.complex128)
-    u, qb, qd = w[mi:], f[mi:], fp[mi:]
+    w, h, pos = _stack(np.asarray(z, dtype=np.complex128))
+    f, fp = _blocked_values(p.coeffs, w, h, True)
+    u = w[h:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[inside] = f[:mi] / fp[:mi]
-        out[~inside] = qb / (u * (n * qb - u * qd))
-    return out
+        # outside, the denominator u (n q - u q') takes the place of q'
+        fp[h:] = u * (n * f[h:] - u * fp[h:])
+        ratio = f / fp
+    # the ellipsis keeps the result of a 0-d z a 0-d array, not a scalar
+    return ratio[pos, ...]
 
 
 def relative_residual(p: Coefficients, z: np.ndarray) -> np.ndarray:
@@ -363,16 +352,12 @@ def relative_residual(p: Coefficients, z: np.ndarray) -> np.ndarray:
     or scale is not finite (coefficients too large for float64) gets
     residual inf, never 0.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    inside, mi, w = _stack(z)
+    w, h, pos = _stack(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     with np.errstate(over="ignore", invalid="ignore"):
-        f, s = _giant_first_with_scale(p.coeffs, w, mi)
+        f, s = _giant_first_with_scale(p.coeffs, w, h)
         res = np.abs(f) / s
     res[~(np.isfinite(f) & np.isfinite(s))] = np.inf
-    out = np.empty(z.shape, dtype=np.float64)
-    out[inside] = res[:mi]
-    out[~inside] = res[mi:]
-    return out
+    return res[pos]
 
 
 def circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
@@ -384,20 +369,20 @@ def circle_value_and_slope(coeffs: np.ndarray, thetas: np.ndarray):
     as f on the circle (up to |z|^n = 1 +- n eps).  Both are returned in the
     order of ``thetas``.
     """
-    inside, mi, w = _stack(np.exp(1j * thetas))
-    f, fp = _blocked_values(coeffs, w, mi, True)
+    w, h, pos = _stack(np.exp(1j * thetas))
+    f, fp = _blocked_values(coeffs, w, h, True)
     jac = w * fp
-    F, J = np.empty_like(f), np.empty_like(jac)
-    F[inside], F[~inside] = f[:mi], f[mi:]
-    J[inside], J[~inside] = 1j * jac[:mi], -1j * jac[mi:]
-    return F, J
+    jac[:h] *= 1j
+    jac[h:] *= -1j
+    return f[pos], jac[pos]
 
 
-def circle_values(coeffs: np.ndarray, radius: float, grid_points: int) -> np.ndarray:
-    """Values of the polynomial on the uniform angular grid at given radius.
+def circle_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
+    """Values of the polynomial on the uniform angular grid of the unit
+    circle.
 
-    Entry j is the value at radius * exp(2*pi*i*j/grid_points), computed in
-    one FFT pass.
+    Entry j is the value at exp(2*pi*i*j/grid_points), computed in one FFT
+    pass.
     """
-    scaled = np.asarray(coeffs, dtype=np.complex128) * (radius ** np.arange(coeffs.size))
-    return np.fft.ifft(scaled, grid_points) * grid_points
+    return np.fft.ifft(np.asarray(coeffs, dtype=np.complex128),
+                       grid_points) * grid_points

@@ -311,7 +311,7 @@ def test_refined_minimum_matches_analytic_dip(n, phi):
     rho = 1.0 - 1e-6
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0], coeffs[-1] = -rho * np.exp(1j * phi), 1.0
-    mags = np.abs(circle_values(coeffs, 1.0, 16 * (n + 1)))
+    mags = np.abs(circle_values(coeffs, 16 * (n + 1)))
     assert mags.min() > 1e-3
     assert abs(_refine_circle_minimum(coeffs, mags) - (1.0 - rho)) <= 1e-9
 
@@ -338,7 +338,7 @@ def test_refined_minimum_agrees_with_golden_section(kind):
     n, dist = 512, CoefficientDistribution(kind)
     for trial in range(40):
         p = sample_kac(dist, n, 11, trial)
-        mags = np.abs(circle_values(p.coeffs, 1.0, 16 * (n + 1)))
+        mags = np.abs(circle_values(p.coeffs, 16 * (n + 1)))
         refined = _refine_circle_minimum(p.coeffs, mags)
         reference = _golden_section_minimum(p.coeffs, mags)
         assert refined <= mags.min()

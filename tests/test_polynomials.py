@@ -163,6 +163,26 @@ def _kernel_points(n, where, m):
 #   k Horner products and at most k + 1 sums           gamma_(4k+1)
 # so |computed - exact| <= sum_i gamma_(3i + k + B + 3) |a_i| |w|^i.
 # The derivative coefficients (i+1) a_(i+1) are rounded once more: +1.
+# That holds for real coefficients only.  The complex contraction is a
+# zgemm, and numpy's bundled OpenBLAS (SkylakeX kernel) does not form its
+# complex products whole: on products of 2 to 58 rows it equals, bit for
+# bit, four real FMA chains sum_j Re a Re w^j, sum_j Im a Im w^j,
+# sum_j Re a Im w^j and sum_j Im a Re w^j in j order, combined once as
+# (first - second) + i (third + fourth); a one-row product goes to zgemv
+# and matched neither this nor whole products.  Each part of a block
+# value is then within gamma_(B+1) of sum_j (|Re a||Re w^j| +
+# |Im a||Im w^j|), or of the same sum with the parts of w^j swapped, in
+# any order of the chains; both sums
+# are at most sum_j |a| |w^j| and the two parts add in norm, so the
+# product and block sum take sqrt(2) gamma_(B+1) <= gamma_(ceil(sqrt(2)
+# (B + 1))) a term, not gamma_3 + gamma_(B-1).  Only a term with j = 0,
+# whose w^0 = 1 is real, keeps gamma_(B+1).  For complex coefficients the
+# index that holds is thus 3i + k + ceil(sqrt(2)(B + 1)) + 1 for j >= 1,
+# above the asserted 3i + k + B + 3 once B >= 2.  The slack of
+# sqrt(2) gamma_2 < gamma_3 in the other complex products makes up the
+# difference only while B <= 8 (n < 64); for larger B the asserted
+# complex bound is not fully derived, though the errors observed here stay
+# below 0.3 of it.
 # Outside the circle the kernel evaluates at w = fl(1/z) = (1 + d)/z.
 # numpy divides by Smith's formula; for 1/z that is a quotient, a product,
 # a sum of like signs and a reciprocal for the real part and one more
@@ -222,8 +242,12 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
     p = sample_kac(CoefficientDistribution(kind), n, 17, n)
     c = p.coeffs
     z = _kernel_points(n, where, 61)
-    inside, mi, w = _stack(z)
-    f, fp = _blocked_values(c, w, mi, True)
+    w, h, pos = _stack(z)
+    f, fp = _blocked_values(c, w, h, True)
+    # the evaluated columns, inside points first, each half in z's order
+    cols, inside = np.sort(pos), pos < h
+    w, f, fp = w[cols], f[cols], fp[cols]
+    mi = int(np.count_nonzero(inside))
 
     def stacked(x):
         return np.concatenate([x[inside], x[~inside]])
@@ -296,6 +320,18 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
 #   the column sum and Horner in |w|                   gamma_(nk-1 + 2j+1)
 # so it is within sum_i gamma_(2i + j + nk + 1) |a_i| |w|^i.  Outside the
 # circle both are taken at w = fl(1/z): +6i, as for the kernel.
+# The value's contraction holds as derived for real coefficients (one
+# float64 GEMM on the table's float64 view; the scale is one float64 GEMM
+# too).  For complex coefficients it is a zgemm, which sums the four real
+# products in separate FMA chains over k and combines them once (see the
+# kernel's derivation above).  A term with k >= 1 then takes
+# sqrt(2) gamma_(nk+1) <= gamma_(ceil(sqrt(2)(nk + 1))) for its product and
+# column sum, and a term with k = 0 (W^0 = 1, the product exact) takes
+# gamma_nk, one rounding more than above for the final combination.  The
+# index that holds is thus 3i + j + ceil(sqrt(2)(nk + 1)) - 2 for k >= 1
+# and 3i + j + nk + 1 for k = 0, above the asserted 3i + j + nk once
+# nk >= 2: for complex coefficients the asserted bound is not fully
+# derived, though the errors observed here stay below 0.3 of it.
 def _certificate_bound(a, absw, nb, nk, scale, outside):
     """sum_i gamma_(k_i) |a_i| |w|^i per point, k_i as derived above."""
     i = np.arange(a.size)
@@ -314,8 +350,12 @@ def test_stacked_horner_bit_identical_to_two_pass(kind, n, where):
     c = p.coeffs
     # 21 points a case keep the 50-digit reference to a few seconds
     z = _kernel_points(n, where, 21)
-    inside, mi, w = _stack(z)
-    f, s = _giant_first_with_scale(c, w, mi)
+    w, h, pos = _stack(z)
+    f, s = _giant_first_with_scale(c, w, h)
+    # the evaluated columns, inside points first, each half in z's order
+    cols, inside = np.sort(pos), pos < h
+    w, f, s = w[cols], f[cols], s[cols]
+    mi = int(np.count_nonzero(inside))
     res = relative_residual(p, z)
     stacked = np.concatenate([res[inside], res[~inside]])
     assert stacked.tobytes() == (np.abs(f) / s).tobytes()
@@ -385,6 +425,10 @@ def test_newton_ratio_independent_of_call_length(kind, n):
             alone = np.concatenate([fn(p, z[t:t + 1])
                                     for t in range(z.size)])
             assert alone.tobytes() == together.tobytes(), (where, fn)
+            # a result has the shape of z and the flat call's bytes
+            grid = fn(p, z.reshape(20, 15))
+            assert grid.shape == (20, 15), (where, fn)
+            assert grid.tobytes() == together.tobytes(), (where, fn)
     z = _kernel_points(n, "mixed", 300)
     thetas = np.angle(z)
     together = circle_value_and_slope(p.coeffs, thetas)
@@ -418,6 +462,36 @@ def test_kernel_handles_empty_input():
     empty = np.zeros(0, dtype=np.complex128)
     for fn in (newton_ratio, log_abs_deriv, relative_residual):
         assert fn(p, empty).shape == (0,)
+    F, J = circle_value_and_slope(p.coeffs, np.zeros(0))
+    assert F.shape == J.shape == (0,)
+
+
+def test_newton_ratio_keeps_a_0d_point_0d():
+    p = coeffs(1.0, 2.0, 3.0)
+    for z in (0.5 + 0.25j, 2.0 - 1.0j):
+        ratio = newton_ratio(p, np.asarray(z))
+        assert isinstance(ratio, np.ndarray) and ratio.shape == ()
+        assert ratio == newton_ratio(p, np.array([z]))[0]
+
+
+def test_padded_columns_divide_inside_errstate():
+    # with c0 = c1 = 0 the zero-padded columns of both halves divide by
+    # zero (0/0 inside, c_n/0 outside); the warnings filter turns any such
+    # RuntimeWarning that leaks out of np.errstate into a failure
+    p = coeffs(0.0, 0.0, 1.0, 1.0)
+    z = np.array([0.5 + 0.25j, 1.5 - 0.75j])
+    f, fp = z ** 3 + z ** 2, 3 * z ** 2 + 2 * z
+    scale = np.abs(z) ** 3 + np.abs(z) ** 2
+    assert np.allclose(newton_ratio(p, z), f / fp, rtol=1e-14, atol=0)
+    assert np.allclose(log_abs_deriv(p, z), np.log(np.abs(fp)),
+                       rtol=1e-14, atol=0)
+    assert np.allclose(relative_residual(p, z), np.abs(f) / scale,
+                       rtol=1e-14, atol=0)
+    thetas = np.array([0.25, 2.0])
+    F, _ = circle_value_and_slope(p.coeffs, thetas)
+    assert np.allclose(np.abs(F), np.abs(np.exp(3j * thetas)
+                                         + np.exp(2j * thetas)),
+                       rtol=1e-14, atol=0)
 
 
 def test_log_abs_deriv_no_overflow_for_huge_roots():
@@ -438,7 +512,7 @@ def test_circle_values_match_direct():
     rng = np.random.default_rng(2)
     c = rng.standard_normal(12)
     m = 16 * 12
-    vals = circle_values(c, 1.3, m)
+    vals = circle_values(c * 1.3 ** np.arange(c.size), m)
     for j in (0, 5, 77):
         z = 1.3 * np.exp(2j * np.pi * j / m)
         assert abs(vals[j] - P.polyval(z, c)) < 1e-10
@@ -458,7 +532,8 @@ def test_max_growth_event_frequency():
         for ell in (0, 1, 2):
             if ell:
                 c = c[1:] * np.arange(1, c.size)  # next derivative
-            mx = np.abs(circle_values(c, 1.0 + 1.0 / n, m)).max()
+            r = (1.0 + 1.0 / n) ** np.arange(c.size)
+            mx = np.abs(circle_values(c * r, m)).max()
             if mx / n ** (ell + 0.5) > math.log(n):
                 ok = False
                 break
