@@ -19,6 +19,8 @@ from .polynomials import Coefficients, circle_values, log_abs_deriv
 from .rootfind import ON_CIRCLE_GUARD, RootSet, close_root_pairs
 
 ORACLE_DEGREE_CAP = 64
+# Fewest circle-quadrature points per coefficient in a Mahler integral
+MIN_QUAD_FACTOR = 16
 
 # Root pairs closer than this (relative) or derivative values below
 # 1e-9 * n^1.5 * max|c| mark a repeated root.
@@ -99,8 +101,8 @@ def decompose(p: Coefficients, rs: RootSet,
     n = p.degree
     if n < 2:
         raise ValueError("decomposition needs degree >= 2")
-    if quad_points < 16 * (n + 1):
-        raise ValueError("quad_points must be at least 16*(degree+1)")
+    if quad_points < MIN_QUAD_FACTOR * (n + 1):
+        raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
     logfp = log_abs_deriv(p, rs.roots)
     if double_root_guard(rs, p, logfp):
         raise DoubleRootError("repeated root: log|disc| is -inf")
@@ -204,8 +206,8 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     Root route: log|c_n| + sum of log|alpha| over roots outside the circle.
     """
     n = p.degree
-    if quad_points < 16 * (n + 1):
-        raise ValueError("quad_points must be at least 16*(degree+1)")
+    if quad_points < MIN_QUAD_FACTOR * (n + 1):
+        raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
     mod = np.abs(rs.roots)
     nearest = float(np.min(np.abs(mod - 1.0))) if mod.size else math.inf
     if nearest <= 1e-14:

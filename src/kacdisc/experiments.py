@@ -15,11 +15,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
 from . import limits
-from .discriminant import decompose
+from .discriminant import MIN_QUAD_FACTOR, decompose
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
@@ -35,7 +36,8 @@ NONCONVERGENCE_BUDGET = 0.01
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by all experiments.
+    """Knobs shared by all experiments; a field of another type than its
+    annotation is a ValueError, except a list ladder, which becomes a tuple.
 
     ``to_dict`` is the ``config`` a run's manifest echoes; given back as a
     ``--config`` file it reruns the same experiment (see ``cli``).
@@ -52,7 +54,14 @@ class ExperimentConfig:
     keep_records: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        ladder = self.n_ladder
+        if type(ladder) not in (list, tuple) or any(type(n) is not int for n in ladder):
+            raise ValueError(f"n_ladder must be a list or tuple of int, got {ladder!r}")
+        object.__setattr__(self, "n_ladder", tuple(ladder))
+        for name, kind in get_type_hints(ExperimentConfig).items():
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.master_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if self.trials < 1:
@@ -65,8 +74,8 @@ class ExperimentConfig:
             raise ValueError("n_ladder entries must be >= 1")
         if self.annulus_omega not in ("log2", "log3"):
             raise ValueError("annulus_omega must be 'log2' or 'log3'")
-        if self.quad_factor < 16:
-            raise ValueError("quad_factor must be >= 16")
+        if self.quad_factor < MIN_QUAD_FACTOR:
+            raise ValueError(f"quad_factor must be >= {MIN_QUAD_FACTOR}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -36,10 +36,11 @@ SMALL_T = 0.01
 LARGE_T = 30.0
 TAIL_T = 100.0
 
-# Largest tol of integral_phi (and so of c_star, d_star and ConstantTable):
-# d_star moves by half the error of int Phi, so this keeps it 100x inside
-# the 5e-5 of the `constants` verdict (cli.D_STAR_REFERENCE_TOL); with an
-# unbounded tol, quad stops at its first estimate.
+# Default and largest tol of integral_phi, c_star, d_star and ConstantTable:
+# d_star moves by half the error of int Phi, so the largest keeps it 100x
+# inside the 5e-5 of the `constants` verdict (cli.D_STAR_REFERENCE_TOL);
+# with an unbounded tol, quad stops at its first estimate.
+CONSTANTS_TOL = 1e-10
 CONSTANTS_TOL_MAX = 1e-6
 
 # Taylor coefficients about t = 0 (ascending powers), frozen from an exact
@@ -117,7 +118,7 @@ def _integral_to_tail(f, series, tol: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def integral_phi(tol: float = 1e-10) -> float:
+def integral_phi(tol: float = CONSTANTS_TOL) -> float:
     """int_0^inf Phi(t) dt.
 
     Series antiderivative on [0, 0.01], adaptive quadrature on [0.01, 100],
@@ -133,12 +134,12 @@ def integral_phi(tol: float = 1e-10) -> float:
     return float(_integral_to_tail(phi, _PHI_SERIES, tol) + tail)
 
 
-def c_star(tol: float = 1e-10) -> float:
+def c_star(tol: float = CONSTANTS_TOL) -> float:
     """1 - gamma + int Phi, which equals 2 int Psi."""
     return 1.0 - EULER_GAMMA + integral_phi(tol)
 
 
-def d_star(tol: float = 1e-10) -> float:
+def d_star(tol: float = CONSTANTS_TOL) -> float:
     """D_* of |disc f_n| = n^(2n) e^(-D_* n (1 + o(1))), so that -D_* is the
     limit of the statistic (log|disc| - 2 n log n)/n.
 
@@ -163,7 +164,7 @@ class ConstantTable:
     d_star: float
 
     @classmethod
-    def compute(cls, tol: float = 1e-10) -> "ConstantTable":
+    def compute(cls, tol: float = CONSTANTS_TOL) -> "ConstantTable":
         return cls(gamma=EULER_GAMMA, integral_phi=integral_phi(tol),
                    c_star=c_star(tol), d_star=d_star(tol))
 

@@ -3,15 +3,14 @@ import math
 import struct
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kacdisc import cli, experiments
+from kacdisc import experiments
 from kacdisc.cli import dispatch
-from kacdisc.experiments import ExperimentConfig
+from kacdisc.errors import NonConvergenceError
 from kacdisc.polynomials import Coefficients
 
 
@@ -152,6 +151,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["lln"], {"dist": {"kind": "bogus"}, "n_ladder": [8]}),
     (["lln"], {"trials": "x", "n_ladder": [8]}),
     (["lln"], {"n_ladder": "16"}),
+    (["lln"], {"n_ladder": 16}),
+    (["lln"], {"dist": None, "n_ladder": [8]}),
     (["lln"], {"n_ladder": [8], "allow_ineligible": "false"}),
     (["lln"], [8, 16]),
     (["lln"], {"n_ladder": [8], "trails": 50}),
@@ -182,11 +183,17 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["constants", "--tol", "nan"], None),
     (["constants", "--tol", "inf"], None),
     (["constants", "--tol", "1e-3"], None),
+    (["lln", "--n", "8,x"], None),
+    (["lln", "--trials", "3"], None),
+    (["roots", "--coeffs", "1,x"], None),
+    (["disc", "--coeffs-file"], None),
+    (["constants", "--table", "1,x"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "-1"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
 ], ids=["K-1", "negative-seed", "bogus-kind", "string-trials",
-        "string-ladder", "string-flag", "list-config", "misspelt-key",
+        "string-ladder", "int-ladder", "null-dist", "string-flag",
+        "list-config", "misspelt-key",
         "misspelt-dist-key", "string-dist-coeffs",
         "huge-dist-coeffs", "fixed-dist", "5000-digit-int",
         "rademacher-dist-coeffs", "empty-dist-coeffs",
@@ -196,19 +203,21 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "roots-file-list", "roots-file-ragged-coeffs",
         "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
         "constants-tol-negative", "constants-tol-nan", "constants-tol-inf",
-        "constants-tol-1e-3", "roots-tol-negative", "roots-tol-nan",
-        "roots-tol-10"])
+        "constants-tol-1e-3", "bad-n-list", "no-ladder", "bad-coeffs-list",
+        "missing-coeffs-file", "bad-table-list", "roots-tol-negative",
+        "roots-tol-nan", "roots-tol-10"])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
+    path = tmp_path / "cfg.json"  # a --coeffs-file without cfg is missing
     if cfg is not None:
-        path = tmp_path / "cfg.json"
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    if cfg is not None or argv[-1] == "--coeffs-file":
         flag = [] if argv[-1] == "--coeffs-file" else ["--config"]
         argv = argv + flag + [str(path)]
     rc, out, err = run(capsys, *argv)
     assert _one_line_error(rc, out, err)
     assert err.startswith("usage error:")
-    if isinstance(cfg, dict) and "coeffs" in cfg.get("dist", {}):
+    if isinstance(cfg, dict) and "coeffs" in (cfg.get("dist") or {}):
         assert "coeffs" in err  # a dist holds only kind and k
 
 
@@ -303,11 +312,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert manifest["config"]["master_seed"] == 9     # file value kept
 
 
-def test_config_keys_are_the_config_fields():
-    # a field missing here could never be set from a config file
-    assert set(cli._CONFIG_TYPES) == {f.name for f in fields(ExperimentConfig)}
-
-
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert run(capsys, "lln", "--config", str(tmp_path / "nope.json"),
                "--n", "16")[0] == 1
@@ -342,6 +346,17 @@ def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
                        "--workers", "1")
     assert _one_line_error(rc, out, err)
     assert err.startswith("error: out of memory: Unable to allocate")
+
+
+def test_integrity_error_exits_2(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NonConvergenceError("injected", 1.0)
+    monkeypatch.setattr(experiments, "find_roots", no_convergence)
+    rc, out, err = run(capsys, "lln", "--n", "8", "--trials", "4",
+                       "--workers", "1")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("experiment integrity error:")
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

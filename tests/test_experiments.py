@@ -137,6 +137,22 @@ def test_config_rejects_degree_below_one(ladder):
         config(n_ladder=ladder)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_ladder", "16"), ("n_ladder", [8.7]), ("n_ladder", 16),
+    ("trials", 2.5), ("trials", "x"), ("trials", True),
+    ("quad_factor", 16.5), ("workers", True),
+    ("allow_ineligible", "false"), ("keep_records", "no"),
+    ("dist", RADEMACHER),
+], ids=["string-ladder", "float-ladder", "int-ladder", "float-trials",
+        "string-trials", "bool-trials", "float-quad-factor", "bool-workers",
+        "string-allow-ineligible", "string-keep-records", "string-dist"])
+def test_config_rejects_ill_typed_field(field, value):
+    # a truthy string must not pass for allow_ineligible=True, nor "16" for
+    # the ladder (1, 6)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        config(**{field: value})
+
+
 def test_ineligible_distribution_rejected():
     raw = CoefficientDistribution("uniform_int_raw", k=240)
     with pytest.raises(ValueError):
@@ -251,6 +267,29 @@ def test_nonconvergence_budget(monkeypatch, run, kw):
     with pytest.raises(ExperimentIntegrityError,
                        match=r"^2/100 trials failed to converge at n=\d+$"):
         run(config(trials=100, **kw))
+
+
+def test_lln_double_root_trials():
+    # Rademacher n=3 draws +-(1-z)^2(1+z), whose repeated root decompose
+    # refuses; seed 1 draws it in 10 of 40 trials
+    rep, rep2 = (run_lln(config(n_ladder=(3,), trials=40, master_seed=1,
+                                workers=w)) for w in (1, 2))
+    doubles = [r for r in rep.records if r["status"] == "double_root"]
+    assert rep.guards["double_root"] == len(doubles) > 0
+    split = ("sum_inside", "sum_outside", "mahler_term", "total_log_abs_disc")
+    assert all(math.isnan(r[col]) for r in doubles for col in split)
+    # NaN != NaN, so the records are compared as text
+    assert rep2.records_text("jsonl") == rep.records_text("jsonl")
+
+
+def test_mahler_resamples_grid_roots():
+    # Rademacher at odd n can vanish at z = +-1, both grid points, so those
+    # draws are resampled; seed 1 resamples 17 times in 20 trials
+    reps = [run_mahler(config(n_ladder=(15,), trials=20, master_seed=1,
+                              workers=w)) for w in (1, 2)]
+    counts = [rep.guards["resampled"] for rep in reps]
+    assert counts[0] == sum(r["resamples"] for r in reps[0].records) > 0
+    assert counts[1] == counts[0]
 
 
 def test_mahler_runner_gaussian():
