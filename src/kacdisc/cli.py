@@ -266,6 +266,9 @@ def _cmd_experiment(name: str, args) -> int:
         f"n={n}: " + ", ".join(f"{k}={v:.6g}" for k, v in info.items()
                                if isinstance(v, (int, float)) and not isinstance(v, bool))
         for n, info in sorted(report.per_n.items(), key=lambda kv: int(kv[0])))
+    guards = ", ".join(f"{k}={v}" for k, v in report.guards.items() if v)
+    if guards:
+        summary += f"; guards: {guards}"
     print(f"{name} [{config.dist.kind}, trials={config.trials}, "
           f"seed={config.master_seed}] {summary}", file=sys.stderr)
     return 0

@@ -4,14 +4,16 @@ Every experiment is a pure function of its configuration: per-trial RNG
 streams are derived from (master_seed, trial index) with a counter-based
 scheme, trials may run on any worker, and results are reduced in trial-index
 order, so reports are identical for any worker count.  All six runners share
-one per-n loop; each brings a trial function, its record columns, its guard
-keys and a per-n reducer.
+one per-n loop, which draws each trial's polynomial and writes its record's
+``n``, ``trial`` and ``status``; each runner brings a trial function of
+(config, polynomial), its record columns, its guard keys and a per-n reducer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -24,9 +26,8 @@ from .discriminant import MIN_QUAD_FACTOR, decompose
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
-                          CoefficientDistribution, Coefficients,
-                          circle_value_and_slope, circle_values,
-                          log_abs_deriv, sample_kac, trial_rng)
+                          CoefficientDistribution, circle_value_and_slope,
+                          circle_values, log_abs_deriv, sample_kac)
 from .rootfind import (canonical_annulus, erdos_turan_bound, find_roots,
                        omega_annulus, root_stats)
 
@@ -197,11 +198,13 @@ _NAN = float("nan")
 
 
 def _guarded(trial, args) -> dict:
-    """One trial; a failed root solve becomes a nonconverged record."""
+    """Draw trial t's polynomial of degree n and measure it; a failed root
+    solve becomes a nonconverged record."""
+    config, n, t = args
     try:
-        return trial(args)
+        p = sample_kac(config.dist, n, config.master_seed, t)
+        return {"n": n, "trial": t, "status": "ok", **trial(config, p)}
     except NonConvergenceError:
-        _, n, t = args
         return {"n": n, "trial": t, "status": "nonconverged"}
 
 
@@ -210,14 +213,21 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
                     reference: dict) -> ExperimentReport:
     """The per-n loop shared by every runner.
 
-    ``trial((config, n, t))`` runs for every n and trial index t as one task
-    list (one worker pool per run); a record's missing columns read NaN.  Per
-    n in ladder order, each non-ok status is counted under its own guard key,
-    and the records' ``resamples`` under ``resampled`` when that key is kept.
-    At the first n where more than NONCONVERGENCE_BUDGET of the trials failed
-    to converge the run stops, though the later n have run by then;
-    otherwise ``reduce(n, records)`` is the summary of n.
+    ``trial(config, p)`` maps the polynomial drawn for every n and trial
+    index t (one task list, one worker pool per run) to its measurements,
+    and names ``status`` only when the record is not ok; a record's missing
+    columns read NaN.  Per n in ladder order, each non-ok status is counted
+    under its own guard key.  At the first n where more than
+    NONCONVERGENCE_BUDGET of the trials failed to converge the run stops,
+    though the later n have run by then; otherwise ``reduce(n, records)`` is
+    the summary of n, and an n that leaves it no sample stops the run.
     """
+    if config.dist.atom_at_zero:
+        # sample_kac rejects a zero leading draw, which would stop a run part-way
+        raise ConfigurationError(
+            f"distribution {config.dist.kind!r} with K={config.dist.k} has an "
+            "atom at zero, so a sampled leading coefficient can be zero")
+    columns = ("n", "trial", "status") + columns
     guards = dict.fromkeys(guard_keys, 0)
     per_n, records = {}, []
     all_recs = _run_trials(partial(_guarded, trial),
@@ -229,15 +239,19 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
         for r in recs:
             for c in columns:
                 r.setdefault(c, _NAN)
-            if r["status"] != "ok":
-                guards[r["status"]] += 1
-        if "resampled" in guards:
-            guards["resampled"] += sum(r.get("resamples", 0) for r in recs)
-        nonconv = sum(1 for r in recs if r["status"] == "nonconverged")
+        left_out = Counter(r["status"] for r in recs if r["status"] != "ok")
+        nonconv = left_out["nonconverged"]
         if nonconv > NONCONVERGENCE_BUDGET * config.trials:
             raise ExperimentIntegrityError(
                 f"{nonconv}/{config.trials} trials failed to converge at n={n}")
-        per_n[str(n)] = reduce(n, recs)
+        try:
+            per_n[str(n)] = reduce(n, recs)
+        except EmptyInputError:
+            counts = ", ".join(f"{k}={v}" for k, v in left_out.items())
+            raise ExperimentIntegrityError(
+                f"no usable trial at n={n} ({counts})") from None
+        for k, v in left_out.items():
+            guards[k] += v
         if config.keep_records:
             records.extend(recs)
     return ExperimentReport(
@@ -246,18 +260,14 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
         records=records)
 
 
-def _breakdown_trial(args) -> dict:
-    """One sampled polynomial: direct-route theorem statistic plus, when no
-    root sits on the unit circle, the decomposition pieces."""
-    config, n, trial = args
-    p = sample_kac(config.dist, n, config.master_seed, trial)
-    rs = find_roots(p)
+def _breakdown_trial(config: ExperimentConfig, p) -> dict:
+    """Direct-route theorem statistic plus, when no root sits on the unit
+    circle, the decomposition pieces."""
     try:
-        br = decompose(p, rs, config.quad_factor * (n + 1))
+        br = decompose(p, find_roots(p), config.quad_factor * (p.degree + 1))
     except DoubleRootError:
-        return {"n": n, "trial": trial, "status": "double_root"}
-    rec = {"n": n, "trial": trial, "status": "ok",
-           "log_abs_disc_direct": br.log_abs_disc_direct,
+        return {"status": "double_root"}
+    rec = {"log_abs_disc_direct": br.log_abs_disc_direct,
            "statistic": br.theorem_statistic}
     if math.isnan(br.sum_inside):
         # statistic still valid; only the inside/outside split is undefined
@@ -269,28 +279,19 @@ def _breakdown_trial(args) -> dict:
     return rec
 
 
-_BREAKDOWN_COLUMNS = ("n", "trial", "status", "sum_inside", "sum_outside",
-                      "mahler_term", "log_n_term", "total_log_abs_disc",
-                      "statistic", "log_abs_disc_direct")
-_BREAKDOWN_GUARDS = ("double_root", "circle_root", "nonconverged", "resampled")
-
-
-def _require_nonzero_leading(config: ExperimentConfig):
-    """sample_kac rejects a zero leading draw, which would stop a run part-way."""
-    if config.dist.atom_at_zero:
-        raise ConfigurationError(
-            f"distribution {config.dist.kind!r} with K={config.dist.k} has an "
-            "atom at zero, so a sampled leading coefficient can be zero")
+_BREAKDOWN_COLUMNS = ("sum_inside", "sum_outside", "mahler_term",
+                      "log_n_term", "total_log_abs_disc", "statistic",
+                      "log_abs_disc_direct")
+_BREAKDOWN_GUARDS = ("double_root", "circle_root", "nonconverged")
 
 
 def _require_breakdown_domain(config: ExperimentConfig):
     """The discriminant-statistic runners need a theorem-eligible law (unless
-    allowed), a law without an atom at zero and degree >= 2."""
+    allowed) and degree >= 2."""
     if not config.dist.theorem_eligible and not config.allow_ineligible:
         raise ConfigurationError(
             f"distribution {config.dist.kind!r} is not theorem-eligible "
             "(needs mean zero, unit variance, no atom at zero)")
-    _require_nonzero_leading(config)
     if config.n_ladder[0] < 2:
         raise ConfigurationError(
             "the discriminant decomposition needs degree >= 2, "
@@ -334,31 +335,14 @@ def run_symmetry(config: ExperimentConfig) -> ExperimentReport:
                            {"ks_level": 0.01, "bonferroni_level": level})
 
 
-def _mahler_trial(args) -> dict:
-    config, n, trial = args
-    quad_points = config.quad_factor * (n + 1)
-    rng = trial_rng(config.master_seed, trial)
-    resamples = 0
-    while True:
-        if resamples > 1000:
-            raise ExperimentIntegrityError(
-                "trial kept hitting the circle-minimum guard; distribution "
-                "appears degenerate")
-        draws = config.dist.draw(rng, n + 1)
-        if draws[-1] == 0:
-            resamples += 1
-            continue
-        p = Coefficients(draws)
-        vals = np.abs(circle_values(p.coeffs, quad_points))
-        if vals.min() < MIN_MODULUS_GUARD:
-            resamples += 1
-            continue
-        stat = float(np.mean(np.log(vals))) - 0.5 * math.log(n)
-        return {"n": n, "trial": trial, "status": "ok", "resamples": resamples,
-                "statistic": stat}
-
-
-_MAHLER_COLUMNS = ("n", "trial", "status", "resamples", "statistic")
+def _mahler_trial(config: ExperimentConfig, p) -> dict:
+    """Circle average of log|f/sqrt(n)|; a polynomial with a root on the
+    quadrature grid has none."""
+    n = p.degree
+    vals = np.abs(circle_values(p.coeffs, config.quad_factor * (n + 1)))
+    if vals.min() < MIN_MODULUS_GUARD:
+        return {"status": "grid_root"}
+    return {"statistic": float(np.mean(np.log(vals))) - 0.5 * math.log(n)}
 
 
 def run_mahler(config: ExperimentConfig) -> ExperimentReport:
@@ -369,27 +353,24 @@ def run_mahler(config: ExperimentConfig) -> ExperimentReport:
             "root is +-1, on the unit circle")
 
     def reduce(n, recs):
-        stats = summarize([r["statistic"] for r in recs])
+        stats = summarize([r["statistic"] for r in recs if r["status"] == "ok"])
         return {"stats": stats.to_dict(),
                 "abs_dev_from_minus_half_gamma":
                     abs(stats.mean + limits.EULER_GAMMA / 2.0),
                 "mahler_point_estimate": math.exp(stats.mean) * math.sqrt(n)}
 
-    return _run_experiment(config, "mahler", _mahler_trial, _MAHLER_COLUMNS,
-                           ("resampled",), reduce,
+    return _run_experiment(config, "mahler", _mahler_trial, ("statistic",),
+                           ("grid_root",), reduce,
                            {"minus_half_gamma": -limits.EULER_GAMMA / 2.0})
 
 
-def _clustering_trial(args) -> dict:
-    config, n, trial = args
-    p = sample_kac(config.dist, n, config.master_seed, trial)
-    rs = find_roots(p)
-    stats = root_stats(rs, n, omega_annulus(n, config.omega(n)))
+def _clustering_trial(config: ExperimentConfig, p) -> dict:
+    n = p.degree
+    stats = root_stats(find_roots(p), n, omega_annulus(n, config.omega(n)))
     grid_max = float(np.max(np.abs(
         circle_values(p.coeffs, config.quad_factor * (n + 1)))))
     bound = erdos_turan_bound(p, 2.0 * grid_max)  # factor 2 covers grid slack
-    return {"n": n, "trial": trial, "status": "ok",
-            "annulus_fraction": stats.annulus_count / n,
+    return {"annulus_fraction": stats.annulus_count / n,
             "sector_count": stats.sector_count, "sector_bound": bound,
             "sector_ok": bool(stats.sector_count <= bound),
             "discrepancy": stats.discrepancy,
@@ -397,15 +378,14 @@ def _clustering_trial(args) -> dict:
             "outside_count": stats.outside_count}
 
 
-_CLUSTERING_COLUMNS = ("n", "trial", "status", "annulus_fraction",
-                       "sector_count", "sector_bound", "sector_ok",
-                       "discrepancy", "inside_count", "outside_count")
+_CLUSTERING_COLUMNS = ("annulus_fraction", "sector_count", "sector_bound",
+                       "sector_ok", "discrepancy", "inside_count",
+                       "outside_count")
 
 
 def run_clustering(config: ExperimentConfig) -> ExperimentReport:
     """Fraction of roots in the omega(n)/n annulus, almost-real sector counts
     against the angular bound, and dyadic arc discrepancy."""
-    _require_nonzero_leading(config)
 
     def reduce(n, recs):
         ok = [r for r in recs if r["status"] == "ok"]
@@ -461,17 +441,12 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
     return best
 
 
-def _minmod_trial(args) -> dict:
-    config, n, trial = args
-    p = sample_kac(config.dist, n, config.master_seed, trial)
+def _minmod_trial(config: ExperimentConfig, p) -> dict:
+    n = p.degree
     mags = np.abs(circle_values(p.coeffs, config.quad_factor * (n + 1)))
     refined = _refine_circle_minimum(p.coeffs, mags)
-    return {"n": n, "trial": trial, "status": "ok",
-            "statistic": math.sqrt(n) * float(mags.min()),
+    return {"statistic": math.sqrt(n) * float(mags.min()),
             "statistic_refined": math.sqrt(n) * refined}
-
-
-_MINMOD_COLUMNS = ("n", "trial", "status", "statistic", "statistic_refined")
 
 
 def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
@@ -481,7 +456,6 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
     each candidate dip by Gauss-Newton steps, which is the version whose
     law actually stabilizes as n grows.
     """
-    _require_nonzero_leading(config)
 
     def reduce(n, recs):
         vals = [r["statistic"] for r in recs]
@@ -495,22 +469,17 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
                 sum(1 for v in refined if v < n ** -0.5) / len(refined)}
 
     return _run_experiment(config, "min_modulus", _minmod_trial,
-                           _MINMOD_COLUMNS, (), reduce, {})
+                           ("statistic", "statistic_refined"), (), reduce, {})
 
 
-def _kacrice_trial(args) -> dict:
-    config, n, trial = args
-    p = sample_kac(config.dist, n, config.master_seed, trial)
+def _kacrice_trial(config: ExperimentConfig, p) -> dict:
+    n = p.degree
     rs = find_roots(p)
     lo, hi = canonical_annulus(n)
     mod = np.abs(rs.roots)
     sel = (mod >= lo) & (mod <= hi)
     logfp = log_abs_deriv(p, rs.roots[sel])
-    return {"n": n, "trial": trial, "status": "ok",
-            "statistic": float(np.sum(logfp - 1.5 * math.log(n))) / n}
-
-
-_KACRICE_COLUMNS = ("n", "trial", "status", "statistic")
+    return {"statistic": float(np.sum(logfp - 1.5 * math.log(n))) / n}
 
 
 def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
@@ -544,5 +513,5 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
                 "quadrature_conditional": quad, "gap_in_se": gap,
                 "gap_conditional_in_se": gap}
 
-    return _run_experiment(config, "kacrice", _kacrice_trial,
-                           _KACRICE_COLUMNS, ("nonconverged",), reduce, {})
+    return _run_experiment(config, "kacrice", _kacrice_trial, ("statistic",),
+                           ("nonconverged",), reduce, {})

@@ -123,9 +123,11 @@ _INELIGIBLE_OK = {"allow_ineligible": True}
     (["clustering"] + _ATOM_AT_ZERO, None, "K=3"),
     (["lln"] + _ATOM_AT_ZERO, _INELIGIBLE_OK, "K=3"),
     (["symmetry"] + _ATOM_AT_ZERO, _INELIGIBLE_OK, "K=3"),
+    (["mahler", "--dist", "uniform-int-centered", "--K", "5", "--n", "16"],
+     None, "K=5"),
 ], ids=["lln", "symmetry", "kacrice", "mahler", "minmod-atom-at-zero",
         "clustering-atom-at-zero", "lln-atom-at-zero",
-        "symmetry-atom-at-zero"])
+        "symmetry-atom-at-zero", "mahler-atom-at-zero"])
 def test_experiment_degree_one_fails_before_any_trial(tmp_path, capsys,
                                                       monkeypatch, argv, cfg,
                                                       needle):
@@ -357,6 +359,24 @@ def test_integrity_error_exits_2(capsys, monkeypatch):
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("experiment integrity error:")
+
+
+def test_degree_without_usable_trial_exits_2(capsys):
+    # Rademacher n=3 draws a repeated root in each of seed 0's first three
+    # trials, which leaves the KS test no sample at n=3
+    rc, out, err = run(capsys, "symmetry", "--dist", "rademacher", "--n", "3",
+                       "--trials", "3", "--seed", "0")
+    assert rc == 2 and out == ""
+    assert err == ("experiment integrity error: no usable trial at n=3 "
+                   "(double_root=3)\n")
+
+
+def test_summary_line_names_left_out_trials(capsys):
+    rc, _, err = run(capsys, "mahler", "--n", "15", "--trials", "40",
+                     "--seed", "1")
+    assert rc == 0 and err.endswith("; guards: grid_root=19\n")
+    rc, _, err = run(capsys, "minmod", "--n", "16", "--trials", "2")
+    assert rc == 0 and "guards" not in err
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

@@ -145,6 +145,9 @@ def test_mahler_x_minus_2():
     res = mahler(p, find_roots(p), 64)
     assert abs(res.log_m_quadrature - math.log(2)) < 1e-12
     assert abs(res.log_m_roots - math.log(2)) < 1e-12
+    # 16 points per coefficient is the quadrature floor
+    with pytest.raises(ValueError, match="quad_points must be at least"):
+        mahler(p, find_roots(p), 31)
 
 
 def test_mahler_golden_ratio():

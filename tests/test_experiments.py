@@ -48,6 +48,8 @@ def test_summarize_basic():
 def test_summarize_empty():
     with pytest.raises(EmptyInputError):
         summarize([])
+    with pytest.raises(EmptyInputError):
+        ks_two_sample([], [1.0])
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
@@ -129,6 +131,10 @@ def test_config_validation():
         config(quad_factor=2)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         config(master_seed=-1)
+    with pytest.raises(ValueError, match="n_ladder must be nonempty"):
+        config(n_ladder=())
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        config(workers=0)
 
 
 @pytest.mark.parametrize("ladder", [(0,), (-2, 16), (0, 1)])
@@ -280,16 +286,32 @@ def test_lln_double_root_trials():
     assert all(math.isnan(r[col]) for r in doubles for col in split)
     # NaN != NaN, so the records are compared as text
     assert rep2.records_text("jsonl") == rep.records_text("jsonl")
+    # the json format is the jsonl lines as one list
+    lines = rep.records_text("jsonl").splitlines()
+    assert rep.records_text("json") == "[" + ", ".join(lines) + "]\n"
+    with pytest.raises(ValueError, match="unknown record format 'xml'"):
+        rep.records_text("xml")
 
 
-def test_mahler_resamples_grid_roots():
-    # Rademacher at odd n can vanish at z = +-1, both grid points, so those
-    # draws are resampled; seed 1 resamples 17 times in 20 trials
-    reps = [run_mahler(config(n_ladder=(15,), trials=20, master_seed=1,
-                              workers=w)) for w in (1, 2)]
-    counts = [rep.guards["resampled"] for rep in reps]
-    assert counts[0] == sum(r["resamples"] for r in reps[0].records) > 0
-    assert counts[1] == counts[0]
+def test_lln_degree_without_usable_trial_stops():
+    # seed 0's trial 0 at Rademacher n=3 has a repeated root, so n=3 has no
+    # statistic to summarize
+    with pytest.raises(ExperimentIntegrityError,
+                       match=r"^no usable trial at n=3 \(double_root=1\)$"):
+        run_lln(config(n_ladder=(3, 8), trials=1, master_seed=0))
+
+
+def test_mahler_counts_grid_roots():
+    # Rademacher at odd n can vanish at z = +-1, both grid points, so such a
+    # draw is a grid_root record with no statistic; seed 1 draws 19 in 40
+    rep, rep2 = (run_mahler(config(n_ladder=(15,), trials=40, master_seed=1,
+                                   workers=w)) for w in (1, 2))
+    roots = [r for r in rep.records if r["status"] == "grid_root"]
+    assert len(roots) == rep.guards["grid_root"] == 19
+    assert all(math.isnan(r["statistic"]) for r in roots)
+    assert rep.per_n["15"]["stats"]["count"] == 21
+    # NaN != NaN, so the records are compared as text
+    assert rep2.records_text("jsonl") == rep.records_text("jsonl")
 
 
 def test_mahler_runner_gaussian():
@@ -308,6 +330,9 @@ def test_min_modulus_monomial(monkeypatch):
     rep = run_min_modulus(config(n_ladder=(16,), trials=2))
     assert rep.per_n["16"]["stats"]["mean"] == pytest.approx(4.0, abs=1e-12)
     assert rep.per_n["16"]["stats_refined"]["mean"] == pytest.approx(4.0, abs=1e-12)
+    # a grid of equal magnitudes has no local minimum to refine
+    flat = np.ones(16 * 17)
+    assert _refine_circle_minimum(np.array([0.0] * 16 + [1.0]), flat) == 1.0
 
 
 def _golden_section_minimum(coeffs, mags):

@@ -87,6 +87,8 @@ def test_zero_leading_coefficient_rejected():
         sample_kac(d, 2, 0, 1)
     with pytest.raises(DegenerateDegreeError):
         coeffs(1.0, 0.0)
+    with pytest.raises(DegenerateDegreeError):
+        coeffs(1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,

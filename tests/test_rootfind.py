@@ -140,6 +140,8 @@ def test_erdos_turan_invalid():
     p = sample_kac(CoefficientDistribution(RADEMACHER), 100, 1, 0)
     with pytest.raises(InvalidBoundError):
         erdos_turan_bound(p, 0.5)
+    with pytest.raises(InvalidBoundError, match="nonzero first and last"):
+        erdos_turan_bound(Coefficients(np.array([0.0, 1.0, 1.0])), 5.0)
 
 
 def test_companion_fallback_converges(monkeypatch):
