@@ -14,7 +14,7 @@ class NonFiniteCoefficientError(KacdiscError):
 
 
 class NonConvergenceError(KacdiscError):
-    """Root finder failed the residual check after all fallbacks.
+    """The root finder's Aberth candidate failed the residual check.
 
     Carries ``worst_residual`` so callers can report how far off the solve was.
     """

@@ -329,7 +329,7 @@ def newton_ratio(p: Coefficients, z: np.ndarray) -> np.ndarray:
     w, h, pos = _stack(np.asarray(z, dtype=np.complex128))
     f, fp = _blocked_values(p.coeffs, w, h, True)
     u = w[h:]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # outside, the denominator u (n q - u q') takes the place of q'
         fp[h:] = u * (n * f[h:] - u * fp[h:])
         ratio = f / fp

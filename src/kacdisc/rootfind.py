@@ -2,10 +2,10 @@
 
 The primary solver is an Ehrlich-Aberth iteration started on a circle of
 radius (|c0/cn|)^(1/n) with angular jitter, which stops moving each root once
-its step is below tolerance, followed by a Newton polish and,
-for real inputs, conjugate-pair symmetrization.  If the iteration stalls, a
-balanced companion-matrix eigenvalue solve is used as a fallback and polished
-the same way.
+its step is below tolerance, followed by one finishing step: a Newton
+polish, conjugate-pair symmetrization for real inputs and certified
+double-root collapse.  There is no second solver: a root set that fails its
+residual certificate raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -150,6 +150,11 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     later sweeps leave it in place but keep it in every other root's pair
     sum.  Stops when no root is active or after ``max_iter`` sweeps, and
     returns the roots with the number of sweeps made.
+
+    Where the Newton ratio w = p/p' is infinite (p' underflowed, as at
+    |z| ~ 0.31 on z^1024 - 1, or the ratio overflowed), the step is the
+    limit of w / (1 - w s) as w -> inf, -1/s; no step would freeze the
+    root at a non-root.  A NaN ratio (0/0) gives no step.
     """
     roots = roots.copy()
     active = np.arange(roots.size)
@@ -159,10 +164,12 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
         iterations = it + 1
         z = roots[active]
         w = newton_ratio(p, z)
+        far = np.isinf(w)
         w[~np.isfinite(w)] = 0.0
         s = _pair_sums(roots, active, buf)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
+        step[far] = -1.0 / s[far]
         step[~np.isfinite(step)] = 0.0
         z = z - step
         roots[active] = z
@@ -172,8 +179,8 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     return roots, iterations
 
 
-def _newton_polish(p: Coefficients, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    for _ in range(sweeps):
+def _newton_polish(p: Coefficients, roots: np.ndarray) -> np.ndarray:
+    for _ in range(2):
         w = newton_ratio(p, roots)
         w[~np.isfinite(w)] = 0.0
         roots = roots - w
@@ -214,44 +221,21 @@ def _collapse_certified_double_roots(p: Coefficients,
     cand = close_root_pairs(roots, DOUBLE_ROOT_WINDOW)
     if cand.size == 0:
         return roots
-    dcoeffs = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    dp = Coefficients(dcoeffs) if dcoeffs.size > 1 else None
+    dp = Coefficients(p.coeffs[1:] * np.arange(1, p.degree + 1))
     roots = roots.copy()
     for i, j in cand:
         if i >= j:
             continue
-        mid = 0.5 * (roots[i] + roots[j])
-        zeta = np.complex128(mid)
-        if dp is not None:
-            for _ in range(8):
-                w = newton_ratio(dp, np.array([zeta]))[0]
-                if not np.isfinite(w):
-                    break
-                zeta = zeta - w
+        zeta = np.complex128(0.5 * (roots[i] + roots[j]))
+        for _ in range(8):
+            w = newton_ratio(dp, np.array([zeta]))[0]
+            if not np.isfinite(w):
+                break
+            zeta = zeta - w
         if relative_residual(p, np.array([zeta]))[0] <= DOUBLE_ROOT_CERTIFY_TOL:
             roots[i] = zeta
             roots[j] = zeta
     return roots
-
-
-def _companion_roots(p: Coefficients) -> np.ndarray:
-    """Eigenvalues of the monic companion matrix (LAPACK balances internally)."""
-    monic = p.coeffs / p.coeffs[-1]
-    n = p.degree
-    comp = np.zeros((n, n), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
-
-
-def _finish(p: Coefficients, roots: np.ndarray, sweeps: int):
-    """Newton polish, conjugate symmetrization (real inputs) and double-root
-    collapse of a candidate root set; returns the roots and their residuals."""
-    roots = _newton_polish(p, roots, sweeps)
-    if p.is_real:
-        roots = _symmetrize_conjugates(roots)
-    roots = _collapse_certified_double_roots(p, roots)
-    return roots, relative_residual(p, roots)
 
 
 def _unit_scaled(coeffs: np.ndarray) -> Coefficients:
@@ -286,15 +270,15 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL) -> RootSet:
 
     roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
                                    DEFAULT_MAX_ITER)
-    roots, residuals = _finish(reduced, roots, 2)
-    if not (np.max(residuals) <= tol):
-        alt, alt_res = _finish(reduced, _companion_roots(reduced), 3)
-        if np.max(alt_res) < np.max(residuals):
-            roots, residuals = alt, alt_res
-        if not (np.max(residuals) <= tol):
-            raise NonConvergenceError(
-                f"root solve stalled at residual {np.max(residuals):.3e}",
-                worst_residual=float(np.max(residuals)))
+    roots = _newton_polish(reduced, roots)
+    if reduced.is_real:
+        roots = _symmetrize_conjugates(roots)
+    roots = _collapse_certified_double_roots(reduced, roots)
+    residuals = relative_residual(reduced, roots)
+    worst = float(np.max(residuals))
+    if not worst <= tol:
+        raise NonConvergenceError(f"root solve stalled at residual {worst:.3e}",
+                                  worst_residual=worst)
 
     if zero_mult:
         roots = np.concatenate([np.zeros(zero_mult, dtype=np.complex128), roots])

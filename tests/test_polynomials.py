@@ -496,6 +496,16 @@ def test_padded_columns_divide_inside_errstate():
                        rtol=1e-14, atol=0)
 
 
+def test_newton_ratio_overflows_to_inf_without_warning():
+    # p'(0.49) = 1024 * 0.49^1023 is subnormal for z^1024 - 1, so
+    # p / p' overflows; the solver reads the infinite ratio, and the
+    # warnings filter turns a leaked overflow warning into a failure
+    c = np.zeros(1025)
+    c[0], c[-1] = -1.0, 1.0
+    ratio = newton_ratio(Coefficients(c), np.array([0.49 + 0.0j]))
+    assert np.isinf(ratio[0])
+
+
 def test_log_abs_deriv_no_overflow_for_huge_roots():
     # leading coefficient 1e-8 pushes a root out near 1e8
     c = np.zeros(801)

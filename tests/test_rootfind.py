@@ -9,7 +9,7 @@ from kacdisc.errors import InvalidBoundError
 from kacdisc import rootfind
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
                                  CoefficientDistribution, Coefficients,
-                                 newton_ratio, sample_kac)
+                                 newton_ratio, relative_residual, sample_kac)
 from kacdisc.rootfind import (RootSet, erdos_turan_bound, find_roots,
                               omega_annulus, root_stats)
 
@@ -144,36 +144,34 @@ def test_erdos_turan_invalid():
         erdos_turan_bound(Coefficients(np.array([0.0, 1.0, 1.0])), 5.0)
 
 
-def test_companion_fallback_converges(monkeypatch):
-    # starve the iteration so the eigenvalue fallback must finish the job
-    monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 1)
-    p = sample_kac(CoefficientDistribution(RADEMACHER), 30, 13, 0)
-    rs = find_roots(p)
-    assert np.max(rs.residuals) <= 1e-12
-
-
 def test_nonconvergence_reports_worst_residual(monkeypatch):
+    # a starved solve raises: no second solver finishes the job
     from kacdisc.errors import NonConvergenceError
-    monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", 5)
-    p = sample_kac(CoefficientDistribution(RADEMACHER), 12, 13, 1)
-    with pytest.raises(NonConvergenceError) as exc:
-        find_roots(p, tol=1e-30)
-    assert exc.value.worst_residual > 0
+    for max_iter, n, seed, trial, tol in ((5, 12, 13, 1, 1e-30),
+                                          (1, 30, 13, 0, rootfind.DEFAULT_TOL)):
+        monkeypatch.setattr(rootfind, "DEFAULT_MAX_ITER", max_iter)
+        p = sample_kac(CoefficientDistribution(RADEMACHER), n, seed, trial)
+        with pytest.raises(NonConvergenceError) as exc:
+            find_roots(p, tol=tol)
+        assert exc.value.worst_residual > 0
 
 
 def _ref_aberth_iterate(p, roots, tol, max_iter):
     """Reference loop: every root updated in every sweep, full n x n pair
-    matrix, stop once the largest relative step is below 0.1*tol."""
+    matrix, stop once the largest relative step is below 0.1*tol.  An
+    infinite Newton ratio takes the step's limit -1/s."""
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
         w = newton_ratio(p, roots)
+        far = np.isinf(w)
         w[~np.isfinite(w)] = 0.0
         diff = roots[:, None] - roots[None, :]
         np.fill_diagonal(diff, np.inf)
         s = (1.0 / diff).sum(axis=1)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
+        step[far] = -1.0 / s[far]
         step[~np.isfinite(step)] = 0.0
         roots = roots - step
         if np.max(np.abs(step) / (1.0 + np.abs(roots))) < 0.1 * tol:
@@ -294,6 +292,30 @@ def test_find_roots_invariant_under_power_of_two_scaling(kind):
         assert rs.roots.tobytes() == base.roots.tobytes()
         assert rs.residuals.tobytes() == base.residuals.tobytes()
         assert rs.iterations == base.iterations
+
+
+def _unit_roots_poly(n):
+    c = np.zeros(n + 1)
+    c[0], c[-1] = -1.0, 1.0
+    return Coefficients(c)
+
+
+def test_aberth_moves_roots_where_derivative_underflows():
+    # on z^1024 - 1 one start point reaches |z| ~ 0.31, where p' underflows
+    # and the Newton ratio is infinite; a zero step there froze it at a
+    # non-root (residual 1.0), while the limit step -1/s moves it on
+    p = _unit_roots_poly(1024)
+    roots, _ = rootfind._aberth_iterate(p, rootfind._initial_guesses(p),
+                                        rootfind.DEFAULT_TOL,
+                                        rootfind.DEFAULT_MAX_ITER)
+    assert np.max(relative_residual(p, roots)) <= rootfind.DEFAULT_TOL
+
+
+def test_find_roots_of_high_degree_unit_roots():
+    # the ratio overflows (not only p' underflows) at degree 5000
+    rs = find_roots(_unit_roots_poly(5000))
+    assert rs.count == 5000
+    assert np.max(rs.residuals) <= 1e-12
 
 
 def test_aberth_iterate_keeps_guesses_and_respects_max_iter():
