@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, limits
-from .discriminant import CSV_COLUMNS, decompose
+from .discriminant import CSV_COLUMNS, check_decomposable, decompose
 from .errors import ExperimentIntegrityError, KacdiscError
 from .experiments import ExperimentConfig, ExperimentReport
 from .polynomials import (GAUSSIAN_COMPLEX, KINDS, RADEMACHER,
@@ -239,10 +239,12 @@ def _cmd_roots(args) -> int:
 
 def _cmd_disc(args) -> int:
     p = _parse_coeffs(args)
+    quad_points = args.quad_factor * (p.degree + 1)
     try:
-        br = decompose(p, find_roots(p), args.quad_factor * (p.degree + 1))
+        check_decomposable(p.degree, quad_points)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    br = decompose(p, find_roots(p), quad_points)
     _deliver(args, {"quad_factor": args.quad_factor,
                     "coeffs": json.loads(p.to_json())},
              "breakdown.csv", ",".join(CSV_COLUMNS) + "\n" + br.csv_row() + "\n")

@@ -84,6 +84,22 @@ def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
     return float(np.mean(np.log(vals)))
 
 
+def _check_quad_points(degree: int, quad_points: int) -> None:
+    """Raise ValueError below the quadrature floor of MIN_QUAD_FACTOR
+    circle points per coefficient of a degree-``degree`` polynomial."""
+    if quad_points < MIN_QUAD_FACTOR * (degree + 1):
+        raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
+
+
+def check_decomposable(degree: int, quad_points: int) -> None:
+    """Raise ValueError unless :func:`decompose` takes a degree-``degree``
+    polynomial with ``quad_points``: degree at least 2 and the quadrature
+    floor.  It needs no roots, so a caller can run it before solving."""
+    if degree < 2:
+        raise ValueError("decomposition needs degree >= 2")
+    _check_quad_points(degree, quad_points)
+
+
 def decompose(p: Coefficients, rs: RootSet,
               quad_points: int) -> DiscriminantBreakdown:
     """log|disc| of a solved root set: the only route from roots to it.
@@ -99,10 +115,7 @@ def decompose(p: Coefficients, rs: RootSet,
     total and statistic are the direct total.
     """
     n = p.degree
-    if n < 2:
-        raise ValueError("decomposition needs degree >= 2")
-    if quad_points < MIN_QUAD_FACTOR * (n + 1):
-        raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
+    check_decomposable(n, quad_points)
     logfp = log_abs_deriv(p, rs.roots)
     if double_root_guard(rs, p, logfp):
         raise DoubleRootError("repeated root: log|disc| is -inf")
@@ -205,9 +218,7 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     Quadrature route: trapezoid mean of log|p| over the uniform grid.
     Root route: log|c_n| + sum of log|alpha| over roots outside the circle.
     """
-    n = p.degree
-    if quad_points < MIN_QUAD_FACTOR * (n + 1):
-        raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
+    _check_quad_points(p.degree, quad_points)
     mod = np.abs(rs.roots)
     nearest = float(np.min(np.abs(mod - 1.0))) if mod.size else math.inf
     if nearest <= 1e-14:

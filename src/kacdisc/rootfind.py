@@ -33,6 +33,13 @@ CONJUGATE_SNAP = 1e-12
 ON_CIRCLE_GUARD = 1e-12
 # Rows of the Aberth pair sum formed at once (block x degree scratch).
 PAIR_BLOCK = 64
+# A sweep whose exact pair sum would divide at least this many pairs takes
+# the node-polynomial route, if that polynomial's coefficients are at most
+# NODE_COEFF_MAX in modulus.
+NODE_ROUTE_PAIRS = 2 ** 17
+NODE_COEFF_MAX = 2.0 ** 20
+# The node product tree multiplies out products up to this degree directly.
+NODE_LEAF_DEGREE = 16
 # Root pairs closer than the window (relative) collapse onto their critical
 # point when its residual is below the certificate tolerance.
 DOUBLE_ROOT_WINDOW = 1e-5
@@ -113,6 +120,75 @@ def _pair_sums(roots: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarr
     return out
 
 
+def _node_coeffs(y: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the monic node polynomial prod_j (x - y_j).
+
+    A balanced product tree: slot j of a power-of-two row holds x - y_j,
+    the roots sorted by angle (the slots past n hold the unit factor), and
+    each level multiplies node g by node g + half.  So after k levels node
+    g is the product over the roots g, g + L, g + 2L, ... of the angle
+    order (L the nodes left): its roots are spread evenly in angle and its
+    coefficients stay small.  Products up to degree NODE_LEAF_DEGREE are
+    multiplied out directly; above it a product of two degree-d nodes is a
+    cyclic FFT of power-of-two length 2d, whose x^(2d) term, wrapped onto
+    x^0, is subtracted there and appended.
+    """
+    n = y.size
+    c = np.zeros((1 << (n - 1).bit_length(), 2), dtype=np.complex128)
+    c[:n, 0] = -y[np.argsort(np.angle(y))]
+    c[:n, 1] = 1.0
+    c[n:, 0] = 1.0
+    while c.shape[0] > 1:
+        half, d = c.shape[0] // 2, c.shape[1] - 1
+        a, b = c[:half], c[half:]
+        if 2 * d <= NODE_LEAF_DEGREE:
+            c = np.zeros((half, 2 * d + 1), dtype=np.complex128)
+            for i in range(d + 1):
+                c[:, i:i + d + 1] += a[:, i, None] * b
+        else:
+            prod = np.fft.ifft(np.fft.fft(a, 2 * d) * np.fft.fft(b, 2 * d))
+            top = a[:, d] * b[:, d]
+            prod[:, 0] -= top
+            c = np.concatenate([prod, top[:, None]], axis=1)
+    return c[0, :n + 1]
+
+
+def _node_pair_sums(roots: np.ndarray, rows: np.ndarray):
+    """sum_{j != i} 1/(z_i - z_j) for each i in ``rows`` from the node
+    polynomial N = prod_j (x - z_j): the sum is N''(z_i) / (2 N'(z_i)),
+    one over twice the Newton ratio of N'.
+
+    The roots are first divided by their geometric mean modulus 2^e (e the
+    mean of log2 |z| over the nonzero roots), so roots near one circle sit
+    near the unit circle, where N's values are not lost under its
+    coefficients' rounding.  Rounding e to a power of two would make the
+    scaling exact, but leaves |y|^n as far as 2^(n/2) from 1: on a circle
+    of radius 0.9 at n = 700 the sums were wrong in the first digit.
+    Returns None when some coefficient of N exceeds NODE_COEFF_MAX in
+    modulus or is not finite: its values then cancel too much to trust.  A
+    row with an exact duplicate root gets a NaN sum, as its pair divides by
+    zero in :func:`_pair_sums`.
+    """
+    mod = np.abs(roots)
+    logs = np.log2(mod[mod > 0])
+    e = float(np.mean(logs)) if logs.size else 0.0
+    if not math.isfinite(e):
+        return None
+    scale = 2.0 ** -e
+    y = roots * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        node = _node_coeffs(y)
+        if not np.max(np.abs(node)) <= NODE_COEFF_MAX:  # also rejects NaN
+            return None
+    dnode = Coefficients(node[1:] * np.arange(1, roots.size + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 0.5 * scale / newton_ratio(dnode, y[rows])
+    _, inverse, counts = np.unique(roots, return_inverse=True,
+                                   return_counts=True)
+    s[counts[inverse[rows]] > 1] = np.nan
+    return s
+
+
 def close_root_pairs(roots: np.ndarray, rel: float) -> np.ndarray:
     """Index pairs (i, j), i != j, with |z_i - z_j| <= rel * (1 + |z_i|).
 
@@ -155,6 +231,13 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     |z| ~ 0.31 on z^1024 - 1, or the ratio overflowed), the step is the
     limit of w / (1 - w s) as w -> inf, -1/s; no step would freeze the
     root at a non-root.  A NaN ratio (0/0) gives no step.
+
+    The pair sums s come from the node polynomial (:func:`_node_pair_sums`)
+    in a sweep whose exact sum would divide at least NODE_ROUTE_PAIRS pairs,
+    m (n - m/2) for m active of n roots, unless its coefficients fail
+    NODE_COEFF_MAX; every other sweep takes :func:`_pair_sums`.  The route
+    moves the path, not the result: the step is 0 exactly where w is,
+    whatever s, and the roots still face the residual certificate.
     """
     roots = roots.copy()
     active = np.arange(roots.size)
@@ -166,7 +249,12 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
         w = newton_ratio(p, z)
         far = np.isinf(w)
         w[~np.isfinite(w)] = 0.0
-        s = _pair_sums(roots, active, buf)
+        s = None
+        m = active.size
+        if m * (roots.size - m / 2) >= NODE_ROUTE_PAIRS:
+            s = _node_pair_sums(roots, active)
+        if s is None:
+            s = _pair_sums(roots, active, buf)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
         step[far] = -1.0 / s[far]

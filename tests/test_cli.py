@@ -106,6 +106,23 @@ def test_disc_degree_one_is_usage_error(capsys):
     assert err == "usage error: decomposition needs degree >= 2\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--coeffs=1,2"], "decomposition needs degree >= 2"),
+    (["--coeffs=1,0,-2", "--quad-factor", "15"],
+     "quad_points must be at least 16*(degree+1)"),
+])
+def test_disc_checks_input_before_solving(capsys, monkeypatch, argv, message):
+    from kacdisc import cli
+
+    def no_solve(p, *args):
+        raise AssertionError("find_roots ran")
+
+    monkeypatch.setattr(cli, "find_roots", no_solve)
+    rc, out, err = run(capsys, "disc", *argv)
+    assert _one_line_error(rc, out, err)
+    assert err == f"usage error: {message}\n"
+
+
 def _no_trials(*args):
     raise AssertionError("a trial ran")
 

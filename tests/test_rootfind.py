@@ -255,6 +255,146 @@ def test_pair_sums_nonfinite_on_duplicate_rows():
             assert np.array_equal(np.isfinite(got), np.isfinite(full[rows]))
 
 
+def _iterates(kind, n):
+    """Initial, 3-sweep and converged Aberth iterates of one polynomial."""
+    p = rootfind._unit_scaled(
+        sample_kac(CoefficientDistribution(kind), n, 2, 0).coeffs)
+    start = rootfind._initial_guesses(p)
+    tol, max_iter = rootfind.DEFAULT_TOL, rootfind.DEFAULT_MAX_ITER
+    return {"initial": start,
+            "3-sweep": rootfind._aberth_iterate(p, start, tol, 3)[0],
+            "converged": rootfind._aberth_iterate(p, start, tol, max_iter)[0]}
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [800, 1600])
+def test_node_pair_sums_match_mpmath(kind, n):
+    # the 12 rows farthest from the exact route's sums and 12 random rows
+    # are checked against 50-digit sums; 6e-12 was the worst seen
+    rng = np.random.default_rng(n)
+    buf = np.empty((rootfind.PAIR_BLOCK, n), dtype=np.complex128)
+    for stage, z in _iterates(kind, n).items():
+        got = rootfind._node_pair_sums(z, np.arange(n))
+        assert got is not None, stage
+        gap = np.abs(got - rootfind._pair_sums(z, np.arange(n), buf))
+        rows = np.concatenate([np.argsort(gap)[-12:],
+                               rng.choice(n, 12, replace=False)])
+        exact, _ = _pair_sum_reference(z, rows)
+        assert np.max(np.abs(got[rows] - exact) / np.abs(exact)) <= 1e-10, stage
+
+
+def test_node_coeffs_match_mpmath_product():
+    # power-of-two and ragged trees, with and without FFT levels
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 16, 17, 33, 100, 257):
+        theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+        y = rng.uniform(0.9, 1.1, n) * np.exp(1j * theta)
+        # multiplied in angle order, the partial products grow to about
+        # 2^n before they cancel, so 120 digits keep 50 at n = 257
+        with mpmath.workdps(120):
+            ref = [mpmath.mpc(1)]
+            for x in y:
+                ref = [a - mpmath.mpc(x.real, x.imag) * b
+                       for a, b in zip([0] + ref, ref + [0])]
+            ref = np.array([complex(c) for c in ref])
+        got = rootfind._node_coeffs(rng.permutation(y))
+        assert got.shape == (n + 1,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+def test_node_pair_sums_off_the_unit_circle(monkeypatch):
+    # roots near a circle of radius r != 1 are scaled by their geometric
+    # mean modulus: scaled by the nearest power of two instead, the sums at
+    # r = 0.9 were wrong in the first digit
+    rng = np.random.default_rng(3)
+    n = 700
+    buf = np.empty((rootfind.PAIR_BLOCK, n), dtype=np.complex128)
+    for r in (0.75, 0.9, 1.1, 1.3):
+        theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+        z = r * np.exp(1j * theta)
+        got = rootfind._node_pair_sums(z, np.arange(n))
+        exact = rootfind._pair_sums(z, np.arange(n), buf)
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-10, r
+    # |c_0 / c_n| = 1e-30: Aberth starts on the circle of radius 0.906
+    c = sample_kac(CoefficientDistribution(RADEMACHER), n, 1, 0).coeffs.copy()
+    c[-1] = 1e30
+    p = rootfind._unit_scaled(c)
+    start = rootfind._initial_guesses(p)
+    iters = []
+    for pairs in (rootfind.NODE_ROUTE_PAIRS, math.inf):
+        monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
+        iters.append(rootfind._aberth_iterate(p, start, rootfind.DEFAULT_TOL,
+                                              rootfind.DEFAULT_MAX_ITER)[1])
+    assert iters[0] == iters[1]
+
+
+def test_node_pair_sums_nonfinite_on_duplicate_rows():
+    # as in _pair_sums, a row whose root is repeated exactly has no sum
+    p = sample_kac(CoefficientDistribution(RADEMACHER), 200, 4, 0)
+    z = find_roots(p).roots.copy()
+    z[[10, 75]] = z[3]
+    buf = np.empty((8, z.size), dtype=np.complex128)
+    for rows in (np.arange(200), np.array([75, 2, 10, 60]), np.array([3]),
+                 np.array([5, 6])):
+        got = rootfind._node_pair_sums(z, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact = rootfind._pair_sums(z, rows, buf)
+        assert np.array_equal(np.isfinite(got), np.isfinite(exact))
+
+
+def test_node_route_falls_back_on_scattered_points(monkeypatch):
+    # 100 points at uniformly random angles: the node polynomial's middle
+    # coefficients are near sqrt(C(100, 50)) ~ 1e14, past NODE_COEFF_MAX
+    z = np.exp(2j * np.pi * np.random.default_rng(8).random(100))
+    assert rootfind._node_pair_sums(z, np.arange(100)) is None
+    p = sample_kac(CoefficientDistribution(RADEMACHER), 100, 1, 0)
+    got = []
+    for pairs in (0, math.inf):  # every sweep tries the node route, or none
+        monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
+        got.append(rootfind._aberth_iterate(p, z, rootfind.DEFAULT_TOL, 2)[0])
+    assert got[0].tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [800, 1600])
+def test_node_route_takes_the_exact_route_path(monkeypatch, kind, n):
+    # same sweeps and, after polish, the same roots to 1e-14 relative
+    taken = []
+    node_pair_sums = rootfind._node_pair_sums
+
+    def counted(roots, rows):
+        s = node_pair_sums(roots, rows)
+        taken.append(s is not None)
+        return s
+
+    monkeypatch.setattr(rootfind, "_node_pair_sums", counted)
+    tol, max_iter = rootfind.DEFAULT_TOL, rootfind.DEFAULT_MAX_ITER
+    routes = (rootfind.NODE_ROUTE_PAIRS, math.inf)  # node route on, off
+    for seed in range(8):
+        p = sample_kac(CoefficientDistribution(kind), n, seed, 0)
+        start = rootfind._initial_guesses(p)
+        runs = []
+        for pairs in routes:
+            monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
+            roots, iters = rootfind._aberth_iterate(p, start, tol, max_iter)
+            runs.append((rootfind._newton_polish(p, roots), iters))
+        (node, node_iters), (exact, iters) = runs
+        assert node_iters == iters
+        assert np.max(np.abs(node - exact) / np.abs(exact)) <= 1e-14
+    assert len(taken) >= 8 and all(taken)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_small_solves_never_take_node_route(monkeypatch, n):
+    # every sweep at n <= 256 divides fewer than NODE_ROUTE_PAIRS pairs
+    def refuse(*args):
+        raise AssertionError("node route taken")
+
+    monkeypatch.setattr(rootfind, "_node_pair_sums", refuse)
+    p = sample_kac(CoefficientDistribution(GAUSSIAN_COMPLEX), n, 1, 0)
+    assert np.max(find_roots(p).residuals) <= rootfind.DEFAULT_TOL
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), 2e-3, 10.0,
                                  float("inf")])
 def test_find_roots_rejects_tol_outside_cap(tol):
