@@ -72,7 +72,7 @@ def double_root_guard(rs: RootSet, p: Coefficients, logfp: np.ndarray) -> bool:
     roots.
     """
     n = p.degree
-    if n >= 2 and close_root_pairs(rs.roots, PAIR_THRESHOLD).size:
+    if close_root_pairs(rs.roots, PAIR_THRESHOLD).size:
         return True
     threshold = DERIV_THRESHOLD * n ** 1.5 * float(np.max(np.abs(p.coeffs)))
     return bool(np.any(logfp <= math.log(threshold)))

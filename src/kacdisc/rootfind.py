@@ -38,8 +38,6 @@ PAIR_BLOCK = 64
 # NODE_COEFF_MAX in modulus.
 NODE_ROUTE_PAIRS = 2 ** 17
 NODE_COEFF_MAX = 2.0 ** 20
-# The node product tree multiplies out products up to this degree directly.
-NODE_LEAF_DEGREE = 16
 # Root pairs closer than the window (relative) collapse onto their critical
 # point when its residual is below the certificate tolerance.
 DOUBLE_ROOT_WINDOW = 1e-5
@@ -92,25 +90,25 @@ def _initial_guesses(p: Coefficients) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def _pair_sums(roots: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _pair_sums(roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_{j != i} 1/(z_i - z_j) for each i in ``rows``, in ``rows`` order.
 
     Each pair of rows is divided once, since 1/(z_j - z_i) = -1/(z_i - z_j).
     With the rows first and the other roots after them, block [a, b) of
-    the rows (``buf.shape[0]`` of them, formed in ``buf``, a block x n
-    scratch array, so no n x n temporary exists) divides against rows a..
-    and every other root.  It adds its row sums to rows [a, b) and
-    subtracts its column sums over the rows after b from those rows.  The
-    other roots count in every row's sum but get no sum of their own.
+    PAIR_BLOCK rows (formed in one PAIR_BLOCK x n scratch array, so no
+    n x n temporary exists) divides against rows a.. and every other root.
+    It adds its row sums to rows [a, b) and subtracts its column sums over
+    the rows after b from those rows.  The other roots count in every
+    row's sum but get no sum of their own.
     """
     m, n = rows.size, roots.size
     rest = np.ones(n, dtype=bool)
     rest[rows] = False
     z = np.concatenate([roots[rows], roots[rest]])
     out = np.zeros(m, dtype=np.complex128)
-    flat, block = buf.reshape(-1), buf.shape[0]
-    for a in range(0, m, block):
-        b = min(a + block, m)
+    flat = np.empty(min(PAIR_BLOCK, m) * n, dtype=np.complex128)
+    for a in range(0, m, PAIR_BLOCK):
+        b = min(a + PAIR_BLOCK, m)
         d = flat[:(b - a) * (n - a)].reshape(b - a, n - a)
         np.subtract.outer(z[a:b], z[a:], out=d)
         np.fill_diagonal(d, np.inf)
@@ -128,8 +126,7 @@ def _node_coeffs(y: np.ndarray) -> np.ndarray:
     each level multiplies node g by node g + half.  So after k levels node
     g is the product over the roots g, g + L, g + 2L, ... of the angle
     order (L the nodes left): its roots are spread evenly in angle and its
-    coefficients stay small.  Products up to degree NODE_LEAF_DEGREE are
-    multiplied out directly; above it a product of two degree-d nodes is a
+    coefficients stay small.  The product of two degree-d nodes is a
     cyclic FFT of power-of-two length 2d, whose x^(2d) term, wrapped onto
     x^0, is subtracted there and appended.
     """
@@ -141,15 +138,10 @@ def _node_coeffs(y: np.ndarray) -> np.ndarray:
     while c.shape[0] > 1:
         half, d = c.shape[0] // 2, c.shape[1] - 1
         a, b = c[:half], c[half:]
-        if 2 * d <= NODE_LEAF_DEGREE:
-            c = np.zeros((half, 2 * d + 1), dtype=np.complex128)
-            for i in range(d + 1):
-                c[:, i:i + d + 1] += a[:, i, None] * b
-        else:
-            prod = np.fft.ifft(np.fft.fft(a, 2 * d) * np.fft.fft(b, 2 * d))
-            top = a[:, d] * b[:, d]
-            prod[:, 0] -= top
-            c = np.concatenate([prod, top[:, None]], axis=1)
+        prod = np.fft.ifft(np.fft.fft(a, 2 * d) * np.fft.fft(b, 2 * d))
+        top = a[:, d] * b[:, d]
+        prod[:, 0] -= top
+        c = np.concatenate([prod, top[:, None]], axis=1)
     return c[0, :n + 1]
 
 
@@ -159,19 +151,17 @@ def _node_pair_sums(roots: np.ndarray, rows: np.ndarray):
     one over twice the Newton ratio of N'.
 
     The roots are first divided by their geometric mean modulus 2^e (e the
-    mean of log2 |z| over the nonzero roots), so roots near one circle sit
-    near the unit circle, where N's values are not lost under its
-    coefficients' rounding.  Rounding e to a power of two would make the
-    scaling exact, but leaves |y|^n as far as 2^(n/2) from 1: on a circle
-    of radius 0.9 at n = 700 the sums were wrong in the first digit.
-    Returns None when some coefficient of N exceeds NODE_COEFF_MAX in
-    modulus or is not finite: its values then cancel too much to trust.  A
-    row with an exact duplicate root gets a NaN sum, as its pair divides by
-    zero in :func:`_pair_sums`.
+    mean of log2 |z|), so roots near one circle sit near the unit circle,
+    where N's values are not lost under its coefficients' rounding.
+    Rounding e to a power of two would make the scaling exact, but leaves
+    |y|^n as far as 2^(n/2) from 1: on a circle of radius 0.9 at n = 700
+    the sums were wrong in the first digit.
+    Returns None when e is not finite (a root is 0, infinite or NaN), or
+    when some coefficient of N exceeds NODE_COEFF_MAX in modulus or is not
+    finite: its values then cancel too much to trust.
     """
-    mod = np.abs(roots)
-    logs = np.log2(mod[mod > 0])
-    e = float(np.mean(logs)) if logs.size else 0.0
+    with np.errstate(divide="ignore"):
+        e = float(np.mean(np.log2(np.abs(roots))))
     if not math.isfinite(e):
         return None
     scale = 2.0 ** -e
@@ -182,11 +172,7 @@ def _node_pair_sums(roots: np.ndarray, rows: np.ndarray):
             return None
     dnode = Coefficients(node[1:] * np.arange(1, roots.size + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = 0.5 * scale / newton_ratio(dnode, y[rows])
-    _, inverse, counts = np.unique(roots, return_inverse=True,
-                                   return_counts=True)
-    s[counts[inverse[rows]] > 1] = np.nan
-    return s
+        return 0.5 * scale / newton_ratio(dnode, y[rows])
 
 
 def close_root_pairs(roots: np.ndarray, rel: float) -> np.ndarray:
@@ -241,7 +227,6 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     """
     roots = roots.copy()
     active = np.arange(roots.size)
-    buf = np.empty((min(PAIR_BLOCK, roots.size), roots.size), dtype=np.complex128)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
@@ -254,7 +239,7 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
         if m * (roots.size - m / 2) >= NODE_ROUTE_PAIRS:
             s = _node_pair_sums(roots, active)
         if s is None:
-            s = _pair_sums(roots, active, buf)
+            s = _pair_sums(roots, active)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
         step[far] = -1.0 / s[far]
@@ -304,8 +289,6 @@ def _collapse_certified_double_roots(p: Coefficients,
     Genuinely separate close roots fail the residual certificate and are left
     alone.
     """
-    if roots.size < 2:
-        return roots
     cand = close_root_pairs(roots, DOUBLE_ROOT_WINDOW)
     if cand.size == 0:
         return roots

@@ -7,7 +7,9 @@ with the code that does the work, so each exported name must be used
 or be listed below with the reason it stays.  The same holds for result
 fields: each field of a dataclass defined in the package must be read as
 an attribute in some module other than ``__init__.py``, or its class be
-listed with the reason it stays.
+listed with the reason it stays.  And each module-level upper-case
+constant must be read somewhere in the package, so none outlives the code
+that used it.
 """
 
 import ast
@@ -87,3 +89,19 @@ def test_every_result_field_has_a_package_reader():
     assert set(unread) == set(WHOLE_CLASS_READERS), (
         f"fields with no reader in the package: {unlisted}; listed but every "
         f"field read: {sorted(set(WHOLE_CLASS_READERS) - set(unread))}")
+
+
+def test_every_constant_is_read_in_the_package():
+    constants = {target.id
+                 for path in PACKAGE.glob("*.py")
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in _module_nodes()
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    assert constants - read == set(), (
+        f"constants never read in the package: {sorted(constants - read)}")

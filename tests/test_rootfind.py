@@ -222,7 +222,7 @@ def _pair_sum_reference(z, rows):
     return np.array(exact), np.array(bound)
 
 
-def test_pair_sums_match_full_matrix_rows():
+def test_pair_sums_match_full_matrix_rows(monkeypatch):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(150) + 1j * rng.standard_normal(150)
     cases = [np.arange(150),                    # every root active
@@ -230,15 +230,15 @@ def test_pair_sums_match_full_matrix_rows():
              np.array([37]),                    # one row
              rng.permutation(150)[:70]]         # many blocks, 80 frozen
     for block in (4, 64):
-        buf = np.empty((block, z.size), dtype=np.complex128)
+        monkeypatch.setattr(rootfind, "PAIR_BLOCK", block)
         for rows in cases:
-            got = rootfind._pair_sums(z, rows, buf)
+            got = rootfind._pair_sums(z, rows)
             exact, bound = _pair_sum_reference(z, rows)
             assert got.shape == rows.shape
             assert np.all(np.abs(got - exact) <= bound)
 
 
-def test_pair_sums_nonfinite_on_duplicate_rows():
+def test_pair_sums_nonfinite_on_duplicate_rows(monkeypatch):
     # an exact duplicate divides by zero in its pair only: the same rows are
     # non-finite as in the full matrix, whichever of the pair is frozen
     rng = np.random.default_rng(5)
@@ -246,12 +246,12 @@ def test_pair_sums_nonfinite_on_duplicate_rows():
     z[[10, 75]] = z[3]
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, np.inf)
-    buf = np.empty((8, z.size), dtype=np.complex128)
+    monkeypatch.setattr(rootfind, "PAIR_BLOCK", 8)
     with np.errstate(divide="ignore", invalid="ignore"):
         full = (1.0 / diff).sum(axis=1)
         for rows in (np.arange(90), np.array([75, 2, 10, 60]),
                      np.array([3]), np.array([5, 6])):
-            got = rootfind._pair_sums(z, rows, buf)
+            got = rootfind._pair_sums(z, rows)
             assert np.array_equal(np.isfinite(got), np.isfinite(full[rows]))
 
 
@@ -270,13 +270,12 @@ def _iterates(kind, n):
 @pytest.mark.parametrize("n", [800, 1600])
 def test_node_pair_sums_match_mpmath(kind, n):
     # the 12 rows farthest from the exact route's sums and 12 random rows
-    # are checked against 50-digit sums; 6e-12 was the worst seen
+    # are checked against 50-digit sums; 2.3e-11 was the worst seen
     rng = np.random.default_rng(n)
-    buf = np.empty((rootfind.PAIR_BLOCK, n), dtype=np.complex128)
     for stage, z in _iterates(kind, n).items():
         got = rootfind._node_pair_sums(z, np.arange(n))
         assert got is not None, stage
-        gap = np.abs(got - rootfind._pair_sums(z, np.arange(n), buf))
+        gap = np.abs(got - rootfind._pair_sums(z, np.arange(n)))
         rows = np.concatenate([np.argsort(gap)[-12:],
                                rng.choice(n, 12, replace=False)])
         exact, _ = _pair_sum_reference(z, rows)
@@ -308,12 +307,11 @@ def test_node_pair_sums_off_the_unit_circle(monkeypatch):
     # r = 0.9 were wrong in the first digit
     rng = np.random.default_rng(3)
     n = 700
-    buf = np.empty((rootfind.PAIR_BLOCK, n), dtype=np.complex128)
     for r in (0.75, 0.9, 1.1, 1.3):
         theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
         z = r * np.exp(1j * theta)
         got = rootfind._node_pair_sums(z, np.arange(n))
-        exact = rootfind._pair_sums(z, np.arange(n), buf)
+        exact = rootfind._pair_sums(z, np.arange(n))
         assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-10, r
     # |c_0 / c_n| = 1e-30: Aberth starts on the circle of radius 0.906
     c = sample_kac(CoefficientDistribution(RADEMACHER), n, 1, 0).coeffs.copy()
@@ -328,31 +326,26 @@ def test_node_pair_sums_off_the_unit_circle(monkeypatch):
     assert iters[0] == iters[1]
 
 
-def test_node_pair_sums_nonfinite_on_duplicate_rows():
-    # as in _pair_sums, a row whose root is repeated exactly has no sum
-    p = sample_kac(CoefficientDistribution(RADEMACHER), 200, 4, 0)
-    z = find_roots(p).roots.copy()
-    z[[10, 75]] = z[3]
-    buf = np.empty((8, z.size), dtype=np.complex128)
-    for rows in (np.arange(200), np.array([75, 2, 10, 60]), np.array([3]),
-                 np.array([5, 6])):
-        got = rootfind._node_pair_sums(z, rows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exact = rootfind._pair_sums(z, rows, buf)
-        assert np.array_equal(np.isfinite(got), np.isfinite(exact))
-
-
 def test_node_route_falls_back_on_scattered_points(monkeypatch):
     # 100 points at uniformly random angles: the node polynomial's middle
-    # coefficients are near sqrt(C(100, 50)) ~ 1e14, past NODE_COEFF_MAX
-    z = np.exp(2j * np.pi * np.random.default_rng(8).random(100))
-    assert rootfind._node_pair_sums(z, np.arange(100)) is None
+    # coefficients are near sqrt(C(100, 50)) ~ 1e14, past NODE_COEFF_MAX.
+    # With an exact 0 among points spread evenly in angle the geometric
+    # mean modulus is 0 (its log2 -inf); only the first sweep sees it, as
+    # the 0 moves.
+    rng = np.random.default_rng(8)
+    scattered = np.exp(2j * np.pi * rng.random(100))
+    zero = np.exp(2j * np.pi * (np.arange(100) + rng.uniform(-0.3, 0.3, 100))
+                  / 100)
+    zero[40] = 0.0
     p = sample_kac(CoefficientDistribution(RADEMACHER), 100, 1, 0)
-    got = []
-    for pairs in (0, math.inf):  # every sweep tries the node route, or none
-        monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
-        got.append(rootfind._aberth_iterate(p, z, rootfind.DEFAULT_TOL, 2)[0])
-    assert got[0].tobytes() == got[1].tobytes()
+    for z, sweeps in ((scattered, 2), (zero, 1)):
+        assert rootfind._node_pair_sums(z, np.arange(100)) is None
+        got = []
+        for pairs in (0, math.inf):  # every sweep tries the node route, or none
+            monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
+            got.append(rootfind._aberth_iterate(p, z, rootfind.DEFAULT_TOL,
+                                                sweeps)[0])
+        assert got[0].tobytes() == got[1].tobytes()
 
 
 @pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
