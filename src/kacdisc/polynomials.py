@@ -199,7 +199,10 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, h: int, deriv: bool):
     Paterson-Stockmeyer baby steps / giant steps: with B = ceil(sqrt(n+1)),
     p(w) = sum_k V_k (w^B)^k where V_k = sum_j c_(kB+j) w^j.  The (B x
     points) power table w^0..w^(B-1) is formed once per point of the axis
-    of :func:`_stack`, the zero-padded blocks of B coefficients are
+    of :func:`_stack` by doubling: for s = 1, 2, 4, ... rows [s, 2s) are
+    rows [0, s) times w^s = w^(s-1) w, one broadcast product over the
+    whole padded axis, so ceil(log2 B) of them fill it and w^j still
+    takes j - 1 products.  The zero-padded blocks of B coefficients are
     contracted against it by one ``np.matmul`` (a BLAS GEMM, pinned to one
     thread when this module is imported) per half, and Horner in w^B runs
     over the ceil((n+1)/B) block values.  Real coefficients are contracted
@@ -224,8 +227,11 @@ def _blocked_values(coeffs: np.ndarray, w: np.ndarray, h: int, deriv: bool):
               .reshape(2, nk * rows, nb))
     powers = np.empty((nb, w.size), dtype=np.complex128)
     powers[0] = 1.0
-    powers[1:] = w
-    np.multiply.accumulate(powers, axis=0, out=powers)
+    s = 1
+    while s < nb:
+        t = min(2 * s, nb)
+        np.multiply(powers[:t - s], powers[s - 1] * w, out=powers[s:t])
+        s = t
     giant = powers[-1] * w
     vals = np.empty((nk, rows, w.size), dtype=np.complex128)
     table, out, m = powers, vals.reshape(nk * rows, -1), h

@@ -123,12 +123,13 @@ def _node_coeffs(y: np.ndarray) -> np.ndarray:
 
     A balanced product tree: slot j of a power-of-two row holds x - y_j,
     the roots sorted by angle (the slots past n hold the unit factor), and
-    each level multiplies node g by node g + half.  So after k levels node
-    g is the product over the roots g, g + L, g + 2L, ... of the angle
-    order (L the nodes left): its roots are spread evenly in angle and its
-    coefficients stay small.  The product of two degree-d nodes is a
-    cyclic FFT of power-of-two length 2d, whose x^(2d) term, wrapped onto
-    x^0, is subtracted there and appended.
+    each level of L nodes multiplies node g by nodes g + L/4, g + 2L/4 and
+    g + 3L/4 (by node g + L/2 alone at a last level of two nodes).  So
+    node g of L is the product over the roots g, g + L, g + 2L, ... of the
+    angle order: its roots are spread evenly in angle and its coefficients
+    stay small.  The product of k degree-d nodes is a cyclic FFT of
+    power-of-two length kd, whose x^(kd) term, the product of the top
+    coefficients wrapped onto x^0, is subtracted there and appended.
     """
     n = y.size
     c = np.zeros((1 << (n - 1).bit_length(), 2), dtype=np.complex128)
@@ -136,10 +137,10 @@ def _node_coeffs(y: np.ndarray) -> np.ndarray:
     c[:n, 1] = 1.0
     c[n:, 0] = 1.0
     while c.shape[0] > 1:
-        half, d = c.shape[0] // 2, c.shape[1] - 1
-        a, b = c[:half], c[half:]
-        prod = np.fft.ifft(np.fft.fft(a, 2 * d) * np.fft.fft(b, 2 * d))
-        top = a[:, d] * b[:, d]
+        k, d = min(4, c.shape[0]), c.shape[1] - 1
+        nodes = c.reshape(k, -1, d + 1)
+        prod = np.fft.ifft(np.prod(np.fft.fft(nodes, k * d), axis=0))
+        top = np.prod(nodes[..., d], axis=0)
         prod[:, 0] -= top
         c = np.concatenate([prod, top[:, None]], axis=1)
     return c[0, :n + 1]

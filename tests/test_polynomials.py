@@ -122,8 +122,9 @@ def test_log_abs_helpers_match_direct_eval():
 # real +-1 and real Gaussian coefficients take the kernel's float64
 # contraction, complex Gaussian ones the complex contraction
 KERNEL_KINDS = [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX]
-# degree 1 and 2, n + 1 = 144 a perfect square and n + 1 = 145 one past it
-KERNEL_DEGREES = [1, 2, 7, 128, 143, 144, 800]
+# degree 1 and 2, n + 1 = 144 a perfect square and n + 1 = 145 one past
+# it; n = 255 gives B = 16, so the last doubling of the power table is full
+KERNEL_DEGREES = [1, 2, 7, 128, 143, 144, 255, 800]
 KERNEL_WHERES = ["inside", "outside", "mixed", "circle"]
 
 
@@ -158,7 +159,8 @@ def _kernel_points(n, where, m):
 # sums run over each part in float64, within the same gamma_(B-1) in any
 # summation order.  With B = ceil(sqrt(n + 1)) the term
 # a_i w^i, i = kB + j, passes through
-#   the power table entry w^j, j - 1 products by w     gamma_(3j)
+#   the power table entry w^j, j - 1 products in a     gamma_(3j)
+#   doubling tree (w^j = w^(j-s) w^s, w^s = w^(s-1) w)
 #   the product with a_i                               gamma_3
 #   the sum of the B terms of its block                gamma_(B-1)
 #   (w^B)^k, with w^B made by B - 1 products           gamma_(3(B-1)k)
@@ -304,6 +306,27 @@ def test_blocked_kernel_within_forward_error_bound(kind, n, where):
                 assert abs(ratio[t] - complex(ref_ratio)) <= bound
 
 
+@pytest.mark.parametrize("nb", [12, 16, 41])
+def test_power_table_within_doubling_bound(nb):
+    # on the monomial e_j, j < B, every other term of the contraction and
+    # of Horner in w^B is an exact zero, so the kernel returns its power
+    # table entry w^j, whose j - 1 products bound it by gamma_(3(j-1))
+    n = nb * nb - 1
+    z = _kernel_points(n, "inside", 61)
+    w, h, pos = _stack(z)
+    with mpmath.workdps(50):
+        xs = [mpmath.mpc(x.real, x.imag) for x in z]
+        for j in range(nb):
+            e = np.zeros(n + 1)
+            e[j] = 1.0
+            got = _blocked_values(e, w, h, False)[0][pos]
+            g = _gamma(3 * max(j - 1, 0))
+            for t, x in enumerate(xs):
+                ref = x ** j
+                assert abs(mpmath.mpc(got[t].real, got[t].imag) - ref) <= (
+                    g * float(abs(ref))), (j, t)
+
+
 # Forward-error bound of the residual certificate
 # (polynomials._giant_first_with_scale), in the standard model derived for
 # the kernel above.  With B = ceil(sqrt(n + 1)) and nk = ceil((n + 1) / B)
@@ -414,7 +437,7 @@ def test_relative_residual_reads_overflow_as_inf():
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
-@pytest.mark.parametrize("n", [7, 128, 143, 800])
+@pytest.mark.parametrize("n", [7, 128, 143, 255, 800])
 def test_newton_ratio_independent_of_call_length(kind, n):
     # a point's ratio, log|p'|, residual, and value and slope on the
     # circle do not depend on the other points of its call, so trials can

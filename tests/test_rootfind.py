@@ -270,7 +270,7 @@ def _iterates(kind, n):
 @pytest.mark.parametrize("n", [800, 1600])
 def test_node_pair_sums_match_mpmath(kind, n):
     # the 12 rows farthest from the exact route's sums and 12 random rows
-    # are checked against 50-digit sums; 2.3e-11 was the worst seen
+    # are checked against 50-digit sums; 2.6e-11 was the worst seen
     rng = np.random.default_rng(n)
     for stage, z in _iterates(kind, n).items():
         got = rootfind._node_pair_sums(z, np.arange(n))
@@ -282,8 +282,24 @@ def test_node_pair_sums_match_mpmath(kind, n):
         assert np.max(np.abs(got[rows] - exact) / np.abs(exact)) <= 1e-10, stage
 
 
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [3200, 6400])
+def test_node_route_holds_at_the_top_of_the_ladder(kind, n):
+    # the four-way tree's coefficients stay under NODE_COEFF_MAX, so the
+    # node route runs, and its sums agree with the exact ones on 32 rows;
+    # 2.3e-11 was the worst seen
+    rng = np.random.default_rng(n)
+    for stage, z in _iterates(kind, n).items():
+        got = rootfind._node_pair_sums(z, np.arange(n))
+        assert got is not None, stage
+        rows = rng.choice(n, 32, replace=False)
+        exact = rootfind._pair_sums(z, rows)
+        assert np.max(np.abs(got[rows] - exact) / np.abs(exact)) <= 1e-9, stage
+
+
 def test_node_coeffs_match_mpmath_product():
-    # power-of-two and ragged trees, with and without FFT levels
+    # power-of-two and ragged rows of slots, with an even number of levels
+    # (all four-way) and an odd one (a last two-way level)
     rng = np.random.default_rng(11)
     for n in (1, 2, 16, 17, 33, 100, 257):
         theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
