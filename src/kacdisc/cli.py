@@ -27,8 +27,9 @@ from .polynomials import (GAUSSIAN_COMPLEX, KINDS, RADEMACHER,
                           CoefficientDistribution, Coefficients, sample_kac)
 from .rootfind import DEFAULT_TOL, find_roots
 
-# Pinned reference for the printed constants table: D_* = gamma - 1/2 +
-# log 2 - (1/2) int Phi = 2.7089800496... (see limits.d_star).
+# Pinned reference for the printed constants table, against which the
+# verdict checks the quadrature: D_* = gamma - 1/2 + log 2 - (1/2) int Phi
+# = 2.7089800496... (see limits.d_star and limits.D_STAR).
 D_STAR_REFERENCE = 2.70898
 D_STAR_REFERENCE_TOL = 5e-5
 

@@ -300,9 +300,10 @@ def _require_breakdown_domain(config: ExperimentConfig):
 
 def run_lln(config: ExperimentConfig) -> ExperimentReport:
     """Theorem statistic (log|disc| - 2 n log n)/n per trial, summarized
-    against the reference -d_star; repeated-root trials are excluded."""
+    against the reference -D_* (limits.D_STAR); repeated-root trials are
+    excluded."""
     _require_breakdown_domain(config)
-    dstar = limits.d_star()
+    dstar = limits.D_STAR
 
     def reduce(n, recs):
         # on-circle roots leave the statistic valid, only the split undefined

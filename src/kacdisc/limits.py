@@ -27,8 +27,10 @@ import numpy as np
 
 from .errors import AccuracyError
 
-# scipy.integrate is imported inside the two functions that call quad: it
-# is most of the time `import kacdisc` takes, and most runs never integrate.
+# scipy.integrate is imported inside _integral_to_tail, the one function
+# that calls quad: it is most of the time `import kacdisc` takes and half of
+# a run's memory, and of the subcommands only `constants` reaches it.  The
+# experiment runners read D_STAR and integrate the Kac-Rice mean in numpy.
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -42,6 +44,11 @@ TAIL_T = 100.0
 # with an unbounded tol, quad stops at its first estimate.
 CONSTANTS_TOL = 1e-10
 CONSTANTS_TOL_MAX = 1e-6
+
+# D_*, the double nearest gamma - 1/2 + log 2 - (1/2) int Phi
+# = 2.708980049616457007144400806... (50-digit value); d_star(tol) derives it
+# by quadrature, and d_star(CONSTANTS_TOL) returns it 15 ulps low.
+D_STAR = 2.708980049616457
 
 # Taylor coefficients about t = 0 (ascending powers), frozen from an exact
 # symbolic expansion; truncation error at t = 0.01 is below 1e-16.
@@ -150,6 +157,8 @@ def d_star(tol: float = CONSTANTS_TOL) -> float:
     and the prefactor 1/t^2 - 1/sinh^2 t integrates to 1.  Hence
 
         D_* = gamma/2 + log 2 - c_star/2 = gamma - 1/2 + log 2 - (1/2) int Phi.
+
+    D_STAR holds the correctly rounded value, which the runners read.
     """
     return EULER_GAMMA - 0.5 + math.log(2.0) - 0.5 * integral_phi(tol)
 
@@ -179,15 +188,18 @@ def normalization_identity_check(tol: float = 1e-8) -> float:
 
 @dataclass(frozen=True)
 class KacRiceDensityPoint:
-    """Finite-n exponential-sum quantities at one t."""
+    """Finite-n exponential-sum quantities at one t, or arrays of them at
+    an array of t."""
 
-    s0: float
-    s_tilde: float
-    psi_n: float
+    s0: float | np.ndarray
+    s_tilde: float | np.ndarray
+    psi_n: float | np.ndarray
 
 
-def s_n_suite(n: int, t: float) -> KacRiceDensityPoint:
-    """s_n, the Schur-complement combination and the density psi_n.
+def s_n_suite(n: int, t) -> KacRiceDensityPoint:
+    """s_n, the Schur-complement combination and the density psi_n at a
+    float t (floats) or a 1-D array of t (arrays, each entry bit for bit the
+    float call's).
 
     s_n^(l)(t) = n^(-1-l) sum_k (-2k)^l exp(-2tk/n),
     s_tilde = s'' - (s')^2 / s,
@@ -195,16 +207,23 @@ def s_n_suite(n: int, t: float) -> KacRiceDensityPoint:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = float(t)
-    if t < 0 or t > math.log(n) ** 4:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t >= 0) & (t <= math.log(n) ** 4)):  # NaN included
         raise ValueError("t must lie in [0, log^4 n]")
     k = np.arange(n + 1, dtype=np.float64)
-    w = np.exp((-2.0 * t / n) * k)
-    s0 = float(w.sum()) / n
-    s1 = float((k * w).sum()) * (-2.0) / n ** 2
-    s2 = float((k * k * w).sum()) * 4.0 / n ** 3
+    # one row of exponentials per t; a row sum along the contiguous axis is
+    # the sum a single t gets
+    w = np.exp((-2.0 * t[..., None] / n) * k)
+    s0 = w.sum(axis=-1) / n
+    s1 = (k * w).sum(axis=-1) * (-2.0) / n ** 2
+    s2 = (k * k * w).sum(axis=-1) * 4.0 / n ** 3
     s_tilde = s2 - s1 * s1 / s0
-    psi_n = s_tilde * (math.log(s_tilde) + 1.0 - EULER_GAMMA) / (2.0 * s0)
+    # libm's log entry by entry: np.log can differ from it in the last bit
+    log_s_tilde = np.vectorize(math.log, otypes=[np.float64])(s_tilde)
+    psi_n = s_tilde * (log_s_tilde + 1.0 - EULER_GAMMA) / (2.0 * s0)
+    if t.ndim == 0:
+        return KacRiceDensityPoint(s0=float(s0), s_tilde=float(s_tilde),
+                                   psi_n=float(psi_n))
     return KacRiceDensityPoint(s0=s0, s_tilde=s_tilde, psi_n=psi_n)
 
 
@@ -224,6 +243,13 @@ def T_n(n: int) -> float:
     return -n * math.log1p(-x)
 
 
+def _kac_rice_integrand(n: int, t):
+    """(s_tilde / (4 s0)) (log(s_tilde/4) + 2t/n + 1 - gamma) at t."""
+    pt = s_n_suite(n, t)
+    v = pt.s_tilde / 4.0
+    return (v / pt.s0) * (np.log(v) + 2.0 * t / n + (1.0 - EULER_GAMMA))
+
+
 def kac_rice_exact_mean(n: int) -> float:
     """Expected (1/n) sum over annulus roots of log|g'(alpha)/n^1.5| for the
     complex-Gaussian model, by direct conditional-moment quadrature.
@@ -236,15 +262,27 @@ def kac_rice_exact_mean(n: int) -> float:
     e^{-2t/n} / s0 dt, that is
 
         int_0^{T_n} (s_tilde / (4 s0)) (log(s_tilde/4) + 2t/n + 1 - gamma) dt.
+
+    The integrand is smooth and decays like log(t)/t^2, so a fixed 20-point
+    Gauss-Legendre rule on each dyadic panel of [0, 1/2, 1, 2, 4, ..., T_n]
+    integrates it in numpy, one panel of 20 x (n+1) exponentials at a time.
+    A 30-point rule on the same panels and scipy's adaptive quad at
+    epsabs 1e-15, epsrel 1e-14 agree with it within 7e-16 at n = 97 to 1601
+    (tests/test_limits.py bounds the two gaps by 1e-14 and 1e-13).  Raises
+    ValueError where T_n is undefined or exceeds log^4 n, the domain of
+    s_n_suite, that is for n <= 96.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    from scipy.integrate import quad
-    c = 1.0 - EULER_GAMMA
-
-    def integrand(t):
-        pt = s_n_suite(n, t)
-        v = pt.s_tilde / 4.0
-        return (v / pt.s0) * (math.log(v) + 2.0 * t / n + c)
-    val, _ = quad(integrand, 0.0, T_n(n), limit=400)
-    return float(val)
+    T = T_n(n)
+    if T > math.log(n) ** 4:
+        raise ValueError(f"T_n = {T:.1f} exceeds log^4 n = "
+                         f"{math.log(n) ** 4:.1f}")
+    x, w = np.polynomial.legendre.leggauss(20)
+    dyadic = range(math.ceil(math.log2(2.0 * T)))  # 1/2, 1, ..., below T
+    edges = [0.0, *(0.5 * 2.0 ** j for j in dyadic), T]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        total += half * float(w @ _kac_rice_integrand(n, a + half * (x + 1.0)))
+    return total

@@ -90,7 +90,7 @@ def _initial_guesses(p: Coefficients) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def _pair_sums(roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _pair_sums(roots: np.ndarray, rows: np.ndarray, flat=None) -> np.ndarray:
     """sum_{j != i} 1/(z_i - z_j) for each i in ``rows``, in ``rows`` order.
 
     Each pair of rows is divided once, since 1/(z_j - z_i) = -1/(z_i - z_j).
@@ -99,14 +99,16 @@ def _pair_sums(roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     n x n temporary exists) divides against rows a.. and every other root.
     It adds its row sums to rows [a, b) and subtracts its column sums over
     the rows after b from those rows.  The other roots count in every
-    row's sum but get no sum of their own.
+    row's sum but get no sum of their own.  ``flat``, the scratch, needs
+    min(PAIR_BLOCK, m) * n entries; a solve passes one for all its sweeps.
     """
     m, n = rows.size, roots.size
     rest = np.ones(n, dtype=bool)
     rest[rows] = False
     z = np.concatenate([roots[rows], roots[rest]])
     out = np.zeros(m, dtype=np.complex128)
-    flat = np.empty(min(PAIR_BLOCK, m) * n, dtype=np.complex128)
+    if flat is None:
+        flat = np.empty(min(PAIR_BLOCK, m) * n, dtype=np.complex128)
     for a in range(0, m, PAIR_BLOCK):
         b = min(a + PAIR_BLOCK, m)
         d = flat[:(b - a) * (n - a)].reshape(b - a, n - a)
@@ -228,6 +230,11 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     """
     roots = roots.copy()
     active = np.arange(roots.size)
+    # one pair-sum scratch for every exact sweep, sized at the first (the
+    # active set only shrinks): with a new one per sweep (256 KB at n = 256)
+    # glibc's malloc returned its pages to the system and faulted them in
+    # again, about 400 page faults per solve
+    flat = None
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
@@ -240,7 +247,10 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
         if m * (roots.size - m / 2) >= NODE_ROUTE_PAIRS:
             s = _node_pair_sums(roots, active)
         if s is None:
-            s = _pair_sums(roots, active)
+            if flat is None:
+                flat = np.empty(min(PAIR_BLOCK, m) * roots.size,
+                                dtype=np.complex128)
+            s = _pair_sums(roots, active, flat)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) > 1e-300, w / denom, w)
         step[far] = -1.0 / s[far]

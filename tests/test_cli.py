@@ -403,11 +403,14 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     (None, False),
     (["minmod", "--n", "16", "--trials", "2"], False),
     (["roots", "--coeffs", "1,0,-2"], False),
-    (["lln", "--n", "16", "--trials", "2"], True),
-], ids=["import", "minmod", "roots", "lln"])
+    (["lln", "--n", "16", "--trials", "2"], False),
+    (["kacrice", "--n", "128", "--trials", "2"], False),
+    (["constants"], True),
+], ids=["import", "minmod", "roots", "lln", "kacrice", "constants"])
 def test_only_quadrature_runs_load_scipy(argv, loads):
-    # scipy.integrate is most of a fresh `import kacdisc`, so only the runs
-    # that integrate (constants, lln, kacrice) may load it
+    # scipy.integrate is most of a fresh `import kacdisc` and half of a
+    # run's memory, so only `constants`, which derives D_* by quad, may
+    # load it
     code = [f"import sys; sys.path.insert(0, {str(_SRC)!r})", "import kacdisc"]
     if argv is not None:
         code.append(f"from kacdisc import cli; assert cli.dispatch({argv!r}) == 0")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacdisc import experiments
+from kacdisc import experiments, limits
 from kacdisc.cli import dispatch
 from kacdisc.errors import (ConfigurationError, EmptyInputError,
                             ExperimentIntegrityError, NonConvergenceError)
@@ -174,6 +174,14 @@ def test_lln_wiring_on_fixed_polynomial(monkeypatch):
     assert stats["mean"] == -math.log(2)
     assert stats["std"] == 0.0
     assert rep.guards["circle_root"] == 4
+
+
+def test_lln_compares_with_the_pinned_d_star(monkeypatch):
+    pin_sample(monkeypatch, -1.0, 0.0, 1.0)
+    rep = run_lln(config(n_ladder=(2,), trials=2))
+    assert rep.reference["minus_d_star"] == -limits.D_STAR
+    assert rep.per_n["2"]["abs_dev_from_minus_d_star"] == \
+        abs(-math.log(2) + limits.D_STAR)
 
 
 def test_lln_statistic_plumbing():

@@ -111,6 +111,16 @@ def test_constants_reject_tol_above_cap(fn, tol):
         fn(tol)
 
 
+def test_d_star_pin():
+    # the runners read D_STAR; d_star derives it and the `constants`
+    # verdict checks the derivation against a 6-digit reference
+    from kacdisc import cli
+    assert limits.D_STAR == float("2.708980049616457007144400806")
+    assert abs(d_star(1e-12) - limits.D_STAR) <= 1e-12
+    assert abs(cli.D_STAR_REFERENCE - limits.D_STAR) <= \
+        cli.D_STAR_REFERENCE_TOL
+
+
 def test_constants_accept_tol_at_cap():
     assert abs(d_star(limits.CONSTANTS_TOL_MAX) - D_STAR) <= 0.5e-6
 
@@ -155,6 +165,26 @@ def test_s_n_domain_guards():
         s_n_suite(100, math.log(100) ** 4 + 1)
     with pytest.raises(ValueError):
         s_n_suite(100, -0.5)
+
+
+def test_s_n_suite_checks_every_t():
+    with pytest.raises(ValueError):
+        s_n_suite(100, float("nan"))
+    with pytest.raises(ValueError):
+        s_n_suite(100, np.array([0.5, math.log(100) ** 4 + 1]))
+    with pytest.raises(ValueError):
+        s_n_suite(100, np.array([-0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n", [10, 128, 257, 1000, 1601])
+def test_s_n_suite_on_an_array_equals_the_scalar_calls(n):
+    ts = np.linspace(0.0, math.log(n) ** 4, 37)
+    arr = s_n_suite(n, ts)
+    for i, t in enumerate(ts):
+        pt = s_n_suite(n, float(t))
+        assert type(pt.s0) is float
+        assert (arr.s0[i], arr.s_tilde[i], arr.psi_n[i]) == \
+            (pt.s0, pt.s_tilde, pt.psi_n)
 
 
 def test_s_tilde_nonnegative_and_psi_finite():
@@ -227,6 +257,46 @@ def test_psi_n_integral_converges_monotonically():
         val, _ = quad(lambda t: s_n_suite(n, t).psi_n, 0.0, T_n(n), limit=300)
         errs.append(abs(val - target))
     assert errs[0] > errs[1] > errs[2]
+
+
+def _panel_rule(n, order):
+    # kac_rice_exact_mean's panels [0, 1/2, 1, 2, 4, ..., T_n], any order
+    T = T_n(n)
+    edges = [0.0, *(0.5 * 2.0 ** j
+                    for j in range(math.ceil(math.log2(2.0 * T)))), T]
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        t = a + half * (x + 1.0)
+        total += half * float(w @ limits._kac_rice_integrand(n, t))
+    return total
+
+
+# the tight quad reports roundoff at n = 97 while its value still agrees
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [97, 128, 256, 1024])
+def test_kac_rice_exact_mean_matches_tight_quad(n):
+    from scipy.integrate import quad
+    ref, _ = quad(lambda t: limits._kac_rice_integrand(n, t), 0.0, T_n(n),
+                  epsabs=1e-15, epsrel=1e-14, limit=400)
+    assert abs(kac_rice_exact_mean(n) - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [97, 128, 256, 1024])
+def test_kac_rice_rule_error_against_a_higher_order(n):
+    got = kac_rice_exact_mean(n)
+    assert abs(got - _panel_rule(n, 20)) <= 1e-15
+    assert abs(got - _panel_rule(n, 30)) <= 1e-14
+
+
+def test_kac_rice_exact_mean_domain():
+    # Gauss-Legendre nodes never reach T_n, so this is the function's own
+    # check: n = 96 has T_n = 447.3 > log^4 n = 434.0, n = 97 has 421.3 <= 438
+    for n in (1, 2, 50, 96):
+        with pytest.raises(ValueError):
+            kac_rice_exact_mean(n)
+    assert math.isfinite(kac_rice_exact_mean(97))
 
 
 def test_kac_rice_quadratures_run():
