@@ -78,9 +78,35 @@ def double_root_guard(rs: RootSet, p: Coefficients, logfp: np.ndarray) -> bool:
     return bool(np.any(logfp <= math.log(threshold)))
 
 
+def quad_grid_points(quad_points: int) -> int:
+    """The smallest 11-smooth integer (no prime factor above 11) at or above
+    ``quad_points``: the length of every Mahler quadrature grid.
+
+    numpy's pocketfft runs a length with a larger prime factor through
+    Bluestein's algorithm: the floor 16 (n+1) at n = 1600 has the prime
+    1601, and its FFT took 2.3-4.2 ms against 0.6 ms at 25725 = 3 5^2 7^3
+    on a shared 2-vCPU Xeon.  Every odd 11-smooth m below the power of two
+    at or above ``quad_points`` is tried, times the fewest doublings that
+    reach ``quad_points``.
+    """
+    best = 1 << (quad_points - 1).bit_length()
+    odd = [1]
+    for prime in (3, 5, 7, 11):
+        more = []
+        for m in odd:
+            while m < best:
+                more.append(m)
+                m *= prime
+        odd = more
+    for m in odd:
+        best = min(best, m << (-(-quad_points // m) - 1).bit_length())
+    return best
+
+
 def _mahler_quadrature(p: Coefficients, quad_points: int) -> float:
-    """Trapezoid mean of log|p| on the uniform unit-circle grid."""
-    vals = np.abs(circle_values(p.coeffs, quad_points))
+    """Trapezoid mean of log|p| on the uniform unit-circle grid of
+    :func:`quad_grid_points` (``quad_points``) points."""
+    vals = np.abs(circle_values(p.coeffs, quad_grid_points(quad_points)))
     return float(np.mean(np.log(vals)))
 
 
@@ -107,8 +133,9 @@ def decompose(p: Coefficients, rs: RootSet,
     log|f'| at the roots is computed once and passed to the double-root
     guard.  From it come the direct total (n-2) log|c_n| + sum_j
     log|f'(alpha_j)| and its split into inside/outside root sums, a Mahler
-    integral and the (2n-1) log n normalization; the pieces never read the
-    direct total.
+    integral on a circle grid of at least ``quad_points`` points
+    (:func:`quad_grid_points`) and the (2n-1) log n normalization; the
+    pieces never read the direct total.
 
     Requires degree >= 2; raises DoubleRootError on a repeated root.  With a
     root on the unit circle (within guard) the three pieces are NaN and the
@@ -215,7 +242,8 @@ def exact_discriminant(p: Coefficients) -> int:
 def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     """log Mahler measure by circle quadrature and by the root product.
 
-    Quadrature route: trapezoid mean of log|p| over the uniform grid.
+    Quadrature route: trapezoid mean of log|p| over the uniform grid of at
+    least ``quad_points`` points (:func:`quad_grid_points`).
     Root route: log|c_n| + sum of log|alpha| over roots outside the circle.
     """
     _check_quad_points(p.degree, quad_points)

@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import limits
-from .discriminant import MIN_QUAD_FACTOR, decompose
+from .discriminant import MIN_QUAD_FACTOR, decompose, quad_grid_points
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
@@ -337,10 +337,12 @@ def run_symmetry(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _mahler_trial(config: ExperimentConfig, p) -> dict:
-    """Circle average of log|f/sqrt(n)|; a polynomial with a root on the
-    quadrature grid has none."""
+    """Circle average of log|f/sqrt(n)| on the Mahler quadrature grid of
+    :func:`quad_grid_points`; a polynomial with a root on that grid has
+    none."""
     n = p.degree
-    vals = np.abs(circle_values(p.coeffs, config.quad_factor * (n + 1)))
+    vals = np.abs(circle_values(
+        p.coeffs, quad_grid_points(config.quad_factor * (n + 1))))
     if vals.min() < MIN_MODULUS_GUARD:
         return {"status": "grid_root"}
     return {"statistic": float(np.mean(np.log(vals))) - 0.5 * math.log(n)}

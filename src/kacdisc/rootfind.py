@@ -3,8 +3,11 @@
 The primary solver is an Ehrlich-Aberth iteration started on a circle of
 radius (|c0/cn|)^(1/n) with angular jitter, which stops moving each root once
 its step is below tolerance, followed by one finishing step: a Newton
-polish, conjugate-pair symmetrization for real inputs and certified
-double-root collapse.  There is no second solver: a root set that fails its
+polish when the loop stalled (used every sweep with some root still moving),
+conjugate-pair symmetrization for real inputs and certified double-root
+collapse.  A loop that froze every root skips the polish: the sweep that
+froze a root already landed it at machine precision, as Aberth's cubic
+convergence predicts.  There is no second solver: a root set that fails its
 residual certificate raises NonConvergenceError.
 """
 
@@ -352,7 +355,9 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL) -> RootSet:
 
     roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
                                    DEFAULT_MAX_ITER)
-    roots = _newton_polish(reduced, roots)
+    # only a stalled loop can leave a root short of machine precision
+    if iters == DEFAULT_MAX_ITER:
+        roots = _newton_polish(reduced, roots)
     if reduced.is_real:
         roots = _symmetrize_conjugates(roots)
     roots = _collapse_certified_double_roots(reduced, roots)

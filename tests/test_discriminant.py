@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kacdisc.discriminant import (DiscriminantBreakdown, decompose,
-                                  double_root_guard, exact_discriminant,
-                                  mahler)
+from kacdisc.discriminant import (MIN_QUAD_FACTOR, DiscriminantBreakdown,
+                                  decompose, double_root_guard,
+                                  exact_discriminant, mahler, quad_grid_points)
 from kacdisc.errors import DoubleRootError, OracleCapError
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  CoefficientDistribution, Coefficients,
-                                 log_abs_deriv, sample_kac)
+                                 circle_values, log_abs_deriv, sample_kac)
 from kacdisc.rootfind import find_roots
 
 
@@ -194,6 +194,64 @@ def test_mahler_cross_route_degree50():
             continue
         assert abs(res.log_m_quadrature - res.log_m_roots) <= 1e-6
         done += 1
+
+
+def _is_11_smooth(m):
+    for prime in (2, 3, 5, 7, 11):
+        while m % prime == 0:
+            m //= prime
+    return m == 1
+
+
+def test_quad_grid_is_smallest_11_smooth_length_at_or_above_floor():
+    m = 0
+    for n in range(1, 5001):
+        floor = MIN_QUAD_FACTOR * (n + 1)
+        m = max(m, floor)
+        while not _is_11_smooth(m):
+            m += 1
+        assert quad_grid_points(floor) == m >= floor
+    # the floors at n = 800 (801 = 3^2 89) and n = 1600 (1601 is prime)
+    assert quad_grid_points(16 * 801) == 12936 == 2 ** 3 * 3 * 7 ** 2 * 11
+    assert quad_grid_points(16 * 1601) == 25725 == 3 * 5 ** 2 * 7 ** 3
+
+
+@pytest.mark.parametrize("n", [15, 20, 99, 800])
+def test_decompose_and_mahler_average_on_the_quad_grid(n):
+    # 16 (n+1) = 256, 336 and 1600 are 11-smooth, so the grid is the floor
+    # and decompose is unchanged; 16 801 = 12816 rounds up to 12936
+    q = 16 * (n + 1)
+    grid = quad_grid_points(q)
+    assert (grid == q) == (n != 800)
+    p = sample_kac(CoefficientDistribution(RADEMACHER), n, 3, 0)
+    rs = find_roots(p)
+    br = decompose(p, rs, q)
+    mean = float(np.mean(np.log(np.abs(circle_values(p.coeffs, grid)))))
+    assert br.mahler_term == (n - 2) * (mean - 0.5 * math.log(n))
+    assert br.total_log_abs_disc == (br.sum_inside + br.sum_outside
+                                     + br.mahler_term + br.log_n_term)
+    assert mahler(p, rs, q).log_m_quadrature == mean
+
+
+def test_mahler_trial_guard_reads_the_quadrature_grid():
+    # at n = 12 the floor 208 = 2^4 13 rounds up to 210 = 2 3 5 7;
+    # z^12 - zeta^12 has the root zeta = exp(2 pi i / 210), a point of the
+    # 210-point grid but of no 208-point one
+    from kacdisc.experiments import ExperimentConfig, _mahler_trial
+    n = 12
+    config = ExperimentConfig(dist=CoefficientDistribution(GAUSSIAN_COMPLEX),
+                              n_ladder=(n,), trials=1)
+    assert quad_grid_points(config.quad_factor * (n + 1)) == 210
+    c = np.zeros(n + 1, dtype=np.complex128)
+    c[0], c[n] = -np.exp(2j * np.pi * n / 210), 1.0
+    p = Coefficients(c)
+    assert np.min(np.abs(circle_values(p.coeffs, 208))) > 1e-3
+    assert _mahler_trial(config, p) == {"status": "grid_root"}
+    # off the grid, the statistic is the mean on the same 210 points
+    p = sample_kac(CoefficientDistribution(RADEMACHER), n, 3, 0)
+    mean = float(np.mean(np.log(np.abs(circle_values(p.coeffs, 210)))))
+    assert _mahler_trial(config, p) == {"statistic":
+                                        mean - 0.5 * math.log(n)}
 
 
 # ------------------------------------------------------------- root guards

@@ -7,7 +7,7 @@ import pytest
 
 from kacdisc.errors import InvalidBoundError
 from kacdisc import rootfind
-from kacdisc.polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
+from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  CoefficientDistribution, Coefficients,
                                  newton_ratio, relative_residual, sample_kac)
 from kacdisc.rootfind import (RootSet, erdos_turan_bound, find_roots,
@@ -191,6 +191,39 @@ def test_freezing_aberth_matches_unfrozen_loop(kind, n):
     ref = rootfind._newton_polish(p, ref)
     got = rootfind._newton_polish(p, got)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX])
+@pytest.mark.parametrize("n", [200, 800])
+def test_frozen_solve_needs_no_polish(kind, n):
+    # a solve that froze every root skips the Newton polish: applied to its
+    # roots, the polish moves none by more than 1e-15 relative
+    for seed in range(4):
+        p = sample_kac(CoefficientDistribution(kind), n, seed, 0)
+        rs = find_roots(p)
+        assert rs.iterations < rootfind.DEFAULT_MAX_ITER
+        polished = rootfind._newton_polish(p, rs.roots)
+        assert np.max(np.abs(polished - rs.roots) / np.abs(rs.roots)) <= 1e-15
+        assert np.max(rs.residuals) <= 1e-13
+
+
+def test_stalled_solve_is_still_polished():
+    # sum z^k / k! at degree 40 uses every sweep, so its roots are polished
+    # before the symmetrization and the collapse, as they always were
+    c = np.array([1.0 / math.factorial(k) for k in range(41)])
+    rs = find_roots(Coefficients(c))
+    assert rs.iterations == rootfind.DEFAULT_MAX_ITER
+    p = rootfind._unit_scaled(c)
+    roots, _ = rootfind._aberth_iterate(p, rootfind._initial_guesses(p),
+                                        rootfind.DEFAULT_TOL,
+                                        rootfind.DEFAULT_MAX_ITER)
+    unpolished = rootfind._collapse_certified_double_roots(
+        p, rootfind._symmetrize_conjugates(roots))
+    roots = rootfind._newton_polish(p, roots)
+    roots = rootfind._collapse_certified_double_roots(
+        p, rootfind._symmetrize_conjugates(roots))
+    assert np.array_equal(rs.roots, roots)
+    assert not np.array_equal(rs.roots, unpolished)
 
 
 # Forward error of _pair_sums in the standard model (u = 2^-53, gamma_k =
