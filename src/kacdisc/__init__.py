@@ -8,7 +8,7 @@ experiments that measure the finite-n behavior.
 
 from .discriminant import (DiscriminantBreakdown, MahlerResult, decompose,
                            double_root_guard, exact_discriminant, mahler)
-from .errors import (AccuracyError, ConfigurationError, DegenerateDegreeError,
+from .errors import (ConfigurationError, DegenerateDegreeError,
                      DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, GridCollisionError,
                      InvalidBoundError, KacdiscError, NonConvergenceError,

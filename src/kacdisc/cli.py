@@ -27,11 +27,9 @@ from .polynomials import (GAUSSIAN_COMPLEX, KINDS, RADEMACHER,
                           CoefficientDistribution, Coefficients, sample_kac)
 from .rootfind import DEFAULT_TOL, find_roots
 
-# Pinned reference for the printed constants table, against which the
-# verdict checks the quadrature: D_* = gamma - 1/2 + log 2 - (1/2) int Phi
-# = 2.7089800496... (see limits.d_star and limits.D_STAR).
-D_STAR_REFERENCE = 2.70898
-D_STAR_REFERENCE_TOL = 5e-5
+# How far the printed d_star may sit from limits.D_STAR, the correctly
+# rounded D_* = gamma - 1/2 + log 2 - (1/2) int Phi, for the verdict "ok".
+D_STAR_REFERENCE_TOL = 1e-14
 
 _DIST_FLAGS = {kind.replace("_", "-"): kind for kind in KINDS}
 
@@ -193,17 +191,14 @@ def _cmd_constants(args) -> int:
                      limits.s_n_suite(args.table_n, t).psi_n) for t in ts]
         except ValueError as exc:
             raise _UsageError(f"--table/--table-n: {exc}")
-    try:
-        table = limits.ConstantTable.compute(tol=args.tol)
-    except ValueError as exc:
-        raise _UsageError(f"--tol: {exc}")
-    off = table.d_star - D_STAR_REFERENCE
-    verdict = "ok" if abs(off) <= D_STAR_REFERENCE_TOL else f"off by {off:+.6f}"
+    table = limits.ConstantTable.compute()
+    off = table.d_star - limits.D_STAR
+    verdict = "ok" if abs(off) <= D_STAR_REFERENCE_TOL else f"off by {off:+.3e}"
     print(f"gamma        = {table.gamma!r}")
     print(f"integral_phi = {table.integral_phi!r}")
     print(f"c_star       = {table.c_star!r}")
     print(f"d_star       = {table.d_star!r}  "
-          f"[reference {D_STAR_REFERENCE} +/- {D_STAR_REFERENCE_TOL}: {verdict}]")
+          f"[reference {limits.D_STAR!r} +/- {D_STAR_REFERENCE_TOL}: {verdict}]")
     if args.table:
         print("t,phi,psi,psi_n")
         for row in rows:
@@ -284,7 +279,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("constants", help="print the limit-constant table")
     sp.set_defaults(run=_cmd_constants)
-    sp.add_argument("--tol", type=float, default=limits.CONSTANTS_TOL)
     sp.add_argument("--table", help="comma-separated t values to tabulate")
     sp.add_argument("--table-n", type=int, default=1000)
 

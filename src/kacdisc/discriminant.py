@@ -251,7 +251,8 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     nearest = float(np.min(np.abs(mod - 1.0))) if mod.size else math.inf
     if nearest <= 1e-14:
         raise GridCollisionError(
-            "a root sits on the circle to within 1e-14 of a grid point")
+            "a root lies within 1e-14 of the unit circle "
+            f"(distance {nearest:.1e})")
     log_m_roots = math.log(abs(p.coeffs[-1])) + float(
         np.sum(np.log(mod[mod > 1.0])))
     log_m_quad = _mahler_quadrature(p, quad_points)

@@ -33,22 +33,11 @@ class OracleCapError(KacdiscError):
 
 
 class GridCollisionError(KacdiscError):
-    """A quadrature grid point essentially coincides with a root."""
+    """A root lies on the unit circle, so a quadrature grid point may hit it."""
 
 
 class InvalidBoundError(KacdiscError):
     """Angular-discrepancy bound invoked with an out-of-domain maximum."""
-
-
-class AccuracyError(KacdiscError):
-    """Adaptive quadrature could not meet the requested tolerance.
-
-    Carries ``estimate``, the best value achieved.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class ConfigurationError(KacdiscError, ValueError):

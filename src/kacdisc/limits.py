@@ -19,18 +19,14 @@ Kac-Rice quantities are plain exponential sums.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError
-
-# scipy.integrate is imported inside _integral_to_tail, the one function
-# that calls quad: it is most of the time `import kacdisc` takes and half of
-# a run's memory, and of the subcommands only `constants` reaches it.  The
-# experiment runners read D_STAR and integrate the Kac-Rice mean in numpy.
+# Every integral here is one fixed Gauss-Legendre rule (_panel_rule) in
+# numpy plus a closed-form tail, not scipy: importing scipy.integrate would
+# be most of a fresh run's time and memory.
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -38,16 +34,9 @@ SMALL_T = 0.01
 LARGE_T = 30.0
 TAIL_T = 100.0
 
-# Default and largest tol of integral_phi, c_star, d_star and ConstantTable:
-# d_star moves by half the error of int Phi, so the largest keeps it 100x
-# inside the 5e-5 of the `constants` verdict (cli.D_STAR_REFERENCE_TOL);
-# with an unbounded tol, quad stops at its first estimate.
-CONSTANTS_TOL = 1e-10
-CONSTANTS_TOL_MAX = 1e-6
-
 # D_*, the double nearest gamma - 1/2 + log 2 - (1/2) int Phi
-# = 2.708980049616457007144400806... (50-digit value); d_star(tol) derives it
-# by quadrature, and d_star(CONSTANTS_TOL) returns it 15 ulps low.
+# = 2.708980049616457007144400806... (50-digit value); d_star() derives it
+# with _panel_rule and returns it 8 ulps low.
 D_STAR = 2.708980049616457
 
 # Taylor coefficients about t = 0 (ascending powers), frozen from an exact
@@ -105,48 +94,37 @@ def psi_limit(t: float) -> float:
     return _prefactor(t) * (_log_s(t) + 1.0 - EULER_GAMMA) / 2.0
 
 
-# Taylor series of Phi = prefactor * log S, ascending powers
-_PHI_SERIES = tuple(np.polymul(_PREFACTOR_SERIES[::-1], _LOG_S_SERIES[::-1])[::-1])
+def _panel_rule(f, T: float) -> float:
+    """int_0^T f by a 20-point Gauss-Legendre rule on each panel of
+    [0, 1/2, 1, 2, 4, ..., T]; f maps the array of a panel's nodes to
+    their values."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    dyadic = range(math.ceil(math.log2(2.0 * T)))  # 1/2, 1, ..., below T
+    edges = [0.0, *(0.5 * 2.0 ** j for j in dyadic), T]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        total += half * float(w @ f(a + half * (x + 1.0)))
+    return total
 
 
-def _integral_to_tail(f, series, tol: float) -> float:
-    """int_0^TAIL_T f: the exact integral of f's truncated Taylor series on
-    [0, SMALL_T] plus adaptive quadrature on [SMALL_T, TAIL_T];
-    AccuracyError if quad's error estimate exceeds tol."""
-    from scipy.integrate import quad
-    head = sum(c * SMALL_T ** (k + 1) / (k + 1) for k, c in enumerate(series))
-    main, err = quad(f, SMALL_T, TAIL_T, epsabs=0.25 * tol, epsrel=1e-13,
-                     limit=400)
-    if err > tol:
-        raise AccuracyError(
-            f"quadrature error estimate {err:.2e} above tol {tol:.2e}",
-            estimate=head + main)
-    return head + main
-
-
-@functools.lru_cache(maxsize=None)
-def integral_phi(tol: float = CONSTANTS_TOL) -> float:
+def integral_phi() -> float:
     """int_0^inf Phi(t) dt.
 
-    Series antiderivative on [0, 0.01], adaptive quadrature on [0.01, 100],
-    closed-form tail -(log 2 + 3 log T + 3)/T at T = 100 from
-    Phi ~ -log(2 t^3)/t^2 (remainder O(T^2 e^{-2T})).  Raises ValueError
-    unless 1e-12 <= tol <= CONSTANTS_TOL_MAX.
+    _panel_rule on [0, 100], calling phi at each node, plus the closed-form
+    tail -(log 2 + 3 log T + 3)/T at T = 100 from Phi ~ -log(2 t^3)/t^2
+    (remainder O(T^2 e^{-2T})).  Within 7e-15 of the 50-digit value.
     """
-    if not tol >= 1e-12:  # also rejects NaN
-        raise ValueError(f"tol must be >= 1e-12, got {tol!r}")
-    if tol > CONSTANTS_TOL_MAX:
-        raise ValueError(f"tol must be <= {CONSTANTS_TOL_MAX}, got {tol!r}")
     tail = -(math.log(2.0) + 3.0 * math.log(TAIL_T) + 3.0) / TAIL_T
-    return float(_integral_to_tail(phi, _PHI_SERIES, tol) + tail)
+    return _panel_rule(lambda t: [phi(x) for x in t], TAIL_T) + tail
 
 
-def c_star(tol: float = CONSTANTS_TOL) -> float:
+def c_star() -> float:
     """1 - gamma + int Phi, which equals 2 int Psi."""
-    return 1.0 - EULER_GAMMA + integral_phi(tol)
+    return 1.0 - EULER_GAMMA + integral_phi()
 
 
-def d_star(tol: float = CONSTANTS_TOL) -> float:
+def d_star() -> float:
     """D_* of |disc f_n| = n^(2n) e^(-D_* n (1 + o(1))), so that -D_* is the
     limit of the statistic (log|disc| - 2 n log n)/n.
 
@@ -158,9 +136,10 @@ def d_star(tol: float = CONSTANTS_TOL) -> float:
 
         D_* = gamma/2 + log 2 - c_star/2 = gamma - 1/2 + log 2 - (1/2) int Phi.
 
-    D_STAR holds the correctly rounded value, which the runners read.
+    D_STAR holds the correctly rounded value, which the runners read; this
+    derivation returns it 8 ulps low.
     """
-    return EULER_GAMMA - 0.5 + math.log(2.0) - 0.5 * integral_phi(tol)
+    return EULER_GAMMA - 0.5 + math.log(2.0) - 0.5 * integral_phi()
 
 
 @dataclass(frozen=True)
@@ -173,17 +152,18 @@ class ConstantTable:
     d_star: float
 
     @classmethod
-    def compute(cls, tol: float = CONSTANTS_TOL) -> "ConstantTable":
-        return cls(gamma=EULER_GAMMA, integral_phi=integral_phi(tol),
-                   c_star=c_star(tol), d_star=d_star(tol))
+    def compute(cls) -> "ConstantTable":
+        return cls(gamma=EULER_GAMMA, integral_phi=integral_phi(),
+                   c_star=c_star(), d_star=d_star())
 
 
-def normalization_identity_check(tol: float = 1e-8) -> float:
-    """Numerical int_0^inf (1/t^2 - 1/sinh^2 t) dt; the antiderivative
-    -1/t + coth t makes the exact value 1."""
+def normalization_identity_check() -> float:
+    """Numerical int_0^inf (1/t^2 - 1/sinh^2 t) dt by _panel_rule on [0, 100]
+    plus the closed-form tail; the antiderivative -1/t + coth t makes the
+    exact value 1."""
     q = math.exp(-2.0 * TAIL_T)
     tail = 1.0 / TAIL_T - 2.0 * q / (1.0 - q)
-    return float(_integral_to_tail(_prefactor, _PREFACTOR_SERIES, tol) + tail)
+    return _panel_rule(lambda t: [_prefactor(x) for x in t], TAIL_T) + tail
 
 
 @dataclass(frozen=True)
@@ -263,10 +243,9 @@ def kac_rice_exact_mean(n: int) -> float:
 
         int_0^{T_n} (s_tilde / (4 s0)) (log(s_tilde/4) + 2t/n + 1 - gamma) dt.
 
-    The integrand is smooth and decays like log(t)/t^2, so a fixed 20-point
-    Gauss-Legendre rule on each dyadic panel of [0, 1/2, 1, 2, 4, ..., T_n]
-    integrates it in numpy, one panel of 20 x (n+1) exponentials at a time.
-    A 30-point rule on the same panels and scipy's adaptive quad at
+    The integrand is smooth and decays like log(t)/t^2, so _panel_rule
+    integrates it on [0, T_n], one panel of 20 x (n+1) exponentials at a
+    time.  A 30-point rule on the same panels and scipy's adaptive quad at
     epsabs 1e-15, epsrel 1e-14 agree with it within 7e-16 at n = 97 to 1601
     (tests/test_limits.py bounds the two gaps by 1e-14 and 1e-13).  Raises
     ValueError where T_n is undefined or exceeds log^4 n, the domain of
@@ -278,11 +257,4 @@ def kac_rice_exact_mean(n: int) -> float:
     if T > math.log(n) ** 4:
         raise ValueError(f"T_n = {T:.1f} exceeds log^4 n = "
                          f"{math.log(n) ** 4:.1f}")
-    x, w = np.polynomial.legendre.leggauss(20)
-    dyadic = range(math.ceil(math.log2(2.0 * T)))  # 1/2, 1, ..., below T
-    edges = [0.0, *(0.5 * 2.0 ** j for j in dyadic), T]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        half = 0.5 * (b - a)
-        total += half * float(w @ _kac_rice_integrand(n, a + half * (x + 1.0)))
-    return total
+    return _panel_rule(lambda t: _kac_rice_integrand(n, t), T)

@@ -399,19 +399,39 @@ def test_summary_line_names_left_out_trials(capsys):
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("argv,loads", [
-    (None, False),
-    (["minmod", "--n", "16", "--trials", "2"], False),
-    (["roots", "--coeffs", "1,0,-2"], False),
-    (["lln", "--n", "16", "--trials", "2"], False),
-    (["kacrice", "--n", "128", "--trials", "2"], False),
-    (["constants"], True),
-], ids=["import", "minmod", "roots", "lln", "kacrice", "constants"])
-def test_only_quadrature_runs_load_scipy(argv, loads):
-    # scipy.integrate is most of a fresh `import kacdisc` and half of a
-    # run's memory, so only `constants`, which derives D_* by quad, may
-    # load it
-    code = [f"import sys; sys.path.insert(0, {str(_SRC)!r})", "import kacdisc"]
+# a meta-path finder that refuses every scipy import, as in an install
+# without the test extra
+_NO_SCIPY = """
+class _NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ImportError(f'{name} is not installed')
+sys.meta_path.insert(0, _NoScipy)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["minmod", "--n", "16", "--trials", "2"],
+    ["roots", "--coeffs", "1,0,-2"],
+    ["lln", "--n", "16", "--trials", "2"],
+    ["kacrice", "--n", "128", "--trials", "2"],
+    ["constants"],
+    ["constants", "--table", "0.5,1,2"],
+    ["sample", "--n", "8"],
+    ["disc", "--coeffs", "1,0,-2"],
+    ["symmetry", "--n", "16", "--trials", "2"],
+    ["mahler", "--n", "16", "--trials", "2"],
+    ["clustering", "--n", "16", "--trials", "2"],
+], ids=["import", "minmod", "roots", "lln", "kacrice", "constants",
+        "constants-table", "sample", "disc", "symmetry", "mahler",
+        "clustering"])
+def test_only_quadrature_runs_load_scipy(argv):
+    # scipy is a test dependency only: `import kacdisc` and every
+    # subcommand run with scipy's import refused and load none of it
+    code = [f"import sys; sys.path.insert(0, {str(_SRC)!r})", _NO_SCIPY,
+            "import kacdisc"]
     if argv is not None:
         code.append(f"from kacdisc import cli; assert cli.dispatch({argv!r}) == 0")
     code.append("import json; print(json.dumps(sorted(m for m in sys.modules "
@@ -419,11 +439,7 @@ def test_only_quadrature_runs_load_scipy(argv, loads):
     done = subprocess.run([sys.executable, "-c", "\n".join(code)],
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    if loads:
-        assert "scipy.integrate" in loaded
-    else:
-        assert loaded == []
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_records_jsonl_format(tmp_path, capsys):

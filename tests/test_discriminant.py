@@ -6,7 +6,8 @@ import pytest
 from kacdisc.discriminant import (MIN_QUAD_FACTOR, DiscriminantBreakdown,
                                   decompose, double_root_guard,
                                   exact_discriminant, mahler, quad_grid_points)
-from kacdisc.errors import DoubleRootError, OracleCapError
+from kacdisc.errors import (DoubleRootError, GridCollisionError,
+                            OracleCapError)
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  CoefficientDistribution, Coefficients,
                                  circle_values, log_abs_deriv, sample_kac)
@@ -171,6 +172,16 @@ def test_mahler_x_minus_2():
         mahler(p, find_roots(p), 31)
 
 
+def test_mahler_refuses_a_root_on_the_circle():
+    # the check measures each root's distance to the circle, not to a
+    # grid point: x^2 - 1 has its roots +-1 on it
+    p = coeffs(-1.0, 0.0, 1.0)
+    with pytest.raises(GridCollisionError,
+                       match=r"a root lies within 1e-14 of the unit circle "
+                             r"\(distance 0\.0e\+00\)"):
+        mahler(p, find_roots(p), 64)
+
+
 def test_mahler_golden_ratio():
     p = coeffs(-1.0, -1.0, 1.0)  # x^2 - x - 1
     res = mahler(p, find_roots(p), 64)
@@ -179,7 +190,6 @@ def test_mahler_golden_ratio():
 
 
 def test_mahler_cross_route_degree50():
-    from kacdisc.errors import GridCollisionError
     dist = CoefficientDistribution(RADEMACHER)
     done = trial = 0
     while done < 10:
