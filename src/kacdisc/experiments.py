@@ -52,7 +52,6 @@ class ExperimentConfig:
     quad_factor: int = 16
     workers: int = 1
     allow_ineligible: bool = False
-    keep_records: bool = True
 
     def __post_init__(self):
         ladder = self.n_ladder
@@ -229,7 +228,7 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
             "atom at zero, so a sampled leading coefficient can be zero")
     columns = ("n", "trial", "status") + columns
     guards = dict.fromkeys(guard_keys, 0)
-    per_n, records = {}, []
+    per_n = {}
     all_recs = _run_trials(partial(_guarded, trial),
                            [(config, n, t) for n in config.n_ladder
                             for t in range(config.trials)],
@@ -252,12 +251,10 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
                 f"no usable trial at n={n} ({counts})") from None
         for k, v in left_out.items():
             guards[k] += v
-        if config.keep_records:
-            records.extend(recs)
     return ExperimentReport(
         experiment=name, config=config.to_dict(), per_n=per_n,
         reference=reference, guards=guards, record_columns=columns,
-        records=records)
+        records=all_recs)
 
 
 def _breakdown_trial(config: ExperimentConfig, p) -> dict:
@@ -489,11 +486,11 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo annulus sum (1/n) sum log|g'(alpha)/n^1.5| for the
     complex-Gaussian model against its Kac-Rice value.
 
-    ``quadrature`` is the density route 2 int_0^{T_n} psi e^{-2t/n} dt and
-    ``quadrature_conditional`` the direct conditional-moment value
-    (limits.kac_rice_exact_mean).  With the true conditional variance both
-    are one integral, so the report carries the same value, and the same gap
-    in standard errors, under both names.
+    ``quadrature_conditional`` is the direct conditional-moment value
+    (limits.kac_rice_exact_mean), the one integral that the density route
+    2 int_0^{T_n} psi e^{-2t/n} dt also gives with the true conditional
+    variance; ``gap_conditional_in_se`` is the Monte Carlo mean's distance
+    from it in standard errors.
     """
     if config.dist.kind != GAUSSIAN_COMPLEX:
         raise ConfigurationError(
@@ -512,8 +509,7 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
         stats = summarize([r["statistic"] for r in recs if r["status"] == "ok"])
         quad = quads[n]
         gap = abs(stats.mean - quad) / stats.stderr
-        return {"stats": stats.to_dict(), "quadrature": quad,
-                "quadrature_conditional": quad, "gap_in_se": gap,
+        return {"stats": stats.to_dict(), "quadrature_conditional": quad,
                 "gap_conditional_in_se": gap}
 
     return _run_experiment(config, "kacrice", _kacrice_trial, ("statistic",),

@@ -1,14 +1,13 @@
 """Simultaneous root finding and root-location statistics.
 
-The primary solver is an Ehrlich-Aberth iteration started on a circle of
-radius (|c0/cn|)^(1/n) with angular jitter, which stops moving each root once
-its step is below tolerance, followed by one finishing step: a Newton
-polish when the loop stalled (used every sweep with some root still moving),
-conjugate-pair symmetrization for real inputs and certified double-root
-collapse.  A loop that froze every root skips the polish: the sweep that
-froze a root already landed it at machine precision, as Aberth's cubic
-convergence predicts.  There is no second solver: a root set that fails its
-residual certificate raises NonConvergenceError.
+The solver is an Ehrlich-Aberth iteration started on a circle of radius
+(|c0/cn|)^(1/n) with angular jitter, which stops moving each root once its
+step is below tolerance, followed by one finishing step: conjugate-pair
+symmetrization for real inputs and certified double-root collapse.  The
+sweep that froze a root already landed it at machine precision, as Aberth's
+cubic convergence predicts, so no Newton polish follows.  There is no second
+solver: a root set that fails its residual certificate raises
+NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -266,14 +265,6 @@ def _aberth_iterate(p: Coefficients, roots: np.ndarray, tol: float,
     return roots, iterations
 
 
-def _newton_polish(p: Coefficients, roots: np.ndarray) -> np.ndarray:
-    for _ in range(2):
-        w = newton_ratio(p, roots)
-        w[~np.isfinite(w)] = 0.0
-        roots = roots - w
-    return roots
-
-
 def _symmetrize_conjugates(roots: np.ndarray) -> np.ndarray:
     """Snap near-real roots and average conjugate pairs for real inputs."""
     roots = roots.copy()
@@ -355,9 +346,6 @@ def find_roots(p: Coefficients, tol: float = DEFAULT_TOL) -> RootSet:
 
     roots, iters = _aberth_iterate(reduced, _initial_guesses(reduced), tol,
                                    DEFAULT_MAX_ITER)
-    # only a stalled loop can leave a root short of machine precision
-    if iters == DEFAULT_MAX_ITER:
-        roots = _newton_polish(reduced, roots)
     if reduced.is_real:
         roots = _symmetrize_conjugates(roots)
     roots = _collapse_certified_double_roots(reduced, roots)

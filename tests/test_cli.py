@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacdisc import experiments
 from kacdisc.cli import dispatch
@@ -207,6 +211,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs", "1,x"], None),
     (["disc", "--coeffs-file"], None),
     (["constants", "--table", "1,x"], None),
+    (["constants", "--table", "1e200"], None),
+    (["lln"], {"n_ladder": [8], "keep_records": False}),
     (["roots", "--coeffs", "1,0,-2", "--tol", "-1"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
@@ -223,8 +229,9 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
         "constants-tol-negative", "constants-tol-nan", "constants-tol-inf",
         "constants-tol-1e-3", "bad-n-list", "no-ladder", "bad-coeffs-list",
-        "missing-coeffs-file", "bad-table-list", "roots-tol-negative",
-        "roots-tol-nan", "roots-tol-10"])
+        "missing-coeffs-file", "bad-table-list", "table-t-1e200",
+        "keep-records-key", "roots-tol-negative", "roots-tol-nan",
+        "roots-tol-10"])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
     path = tmp_path / "cfg.json"  # a --coeffs-file without cfg is missing
@@ -238,6 +245,24 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     assert err.startswith("usage error:")
     if isinstance(cfg, dict) and "coeffs" in (cfg.get("dist") or {}):
         assert "coeffs" in err  # a dist holds only kind and k
+    if isinstance(cfg, dict) and "keep_records" in cfg:
+        assert "keep_records" in err  # every run keeps its records
+
+
+@given(st.floats(min_value=0.0, allow_infinity=False))
+@settings(max_examples=40, deadline=None)
+def test_constants_table_exits_cleanly_for_any_t(t):
+    # phi and psi are finite for every t >= 0; psi_n's domain at the
+    # default --table-n of 1000 decides between a row and a usage error
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(["constants", "--table", repr(t)])
+    if t <= math.log(1000) ** 4:
+        assert rc == 0
+        assert out.getvalue().splitlines()[-1].startswith(f"{t!r},")
+    else:
+        assert _one_line_error(rc, out.getvalue(), err.getvalue())
+        assert err.getvalue().startswith("usage error: --table/--table-n:")
 
 
 def test_constants_table_degree_below_two_is_usage_error(capsys):
@@ -334,24 +359,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert run(capsys, "lln", "--config", str(tmp_path / "nope.json"),
                "--n", "16")[0] == 1
-
-
-def test_config_keep_records_false_writes_header_only(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_ladder": [16], "trials": 3,
-                                "keep_records": False}))
-    kept, dropped = tmp_path / "kept", tmp_path / "dropped"
-    assert run(capsys, "minmod", "--n", "16", "--trials", "3",
-               "--out", str(kept))[0] == 0
-    assert run(capsys, "minmod", "--config", str(path),
-               "--out", str(dropped))[0] == 0
-    header = (kept / "records.csv").read_text().splitlines(keepends=True)[0]
-    assert (dropped / "records.csv").read_text() == header
-    manifest = json.loads((dropped / "manifest.json").read_text())
-    assert manifest["config"]["keep_records"] is False
-    report, full = (json.loads((d / "report.json").read_text())
-                    for d in (dropped, kept))
-    assert report["per_n"] == full["per_n"]
 
 
 def test_out_of_memory_is_one_line_error(capsys, monkeypatch):

@@ -39,25 +39,46 @@ def test_phi_domain():
 
 
 def test_route_continuity_at_switch_points():
-    # series vs exponential form at t = 0.01; exponential vs asymptotic at 30
+    # series vs exponential form at SMALL_T; exponential vs asymptotic at
+    # LARGE_T
     t = limits.SMALL_T
-    series = limits._polyval(limits._PREFACTOR_SERIES, t) * \
-        limits._polyval(limits._LOG_S_SERIES, t)
-    q = math.exp(-2 * t)
-    direct = (1 / t ** 2 - 4 * q / (1 - q) ** 2) * math.log(
-        ((1 - q) ** 2 - 4 * t * t * q) / (2 * t ** 3 * (1 - q)))
-    assert abs(series - direct) <= 1e-10
+    assert abs(limits._polyval(limits._PREFACTOR_SERIES, t)
+               - limits._prefactor(t)) <= 1e-14
+    assert abs(limits._polyval(limits._LOG_S_SERIES, t)
+               - limits._log_s(t)) <= 1e-14
     t = limits.LARGE_T
-    q = math.exp(-2 * t)
-    direct = (1 / t ** 2 - 4 * q / (1 - q) ** 2) * math.log(
-        ((1 - q) ** 2 - 4 * t * t * q) / (2 * t ** 3 * (1 - q)))
-    asym = (1 / t ** 2 - 4 * q / (1 - q) ** 2) * (
-        -math.log(2 * t ** 3) - (4 * t * t + 1) * q)
-    assert abs(asym - direct) <= 1e-10
-    # same continuity for psi
-    lo = psi_limit(limits.SMALL_T * (1 - 1e-9))
-    hi = psi_limit(limits.SMALL_T * (1 + 1e-9))
-    assert abs(lo - hi) <= 1e-10
+    q, r = math.exp(-2 * t), -math.expm1(-2 * t)
+    exponential = math.log((r * r - 4 * t * t * q) / (2 * t ** 3 * r))
+    asymptotic = limits._log_s(math.nextafter(t, math.inf))
+    assert abs(asymptotic - exponential) <= 1e-14
+    # same continuity for phi and psi, one ulp either side
+    for t in (limits.SMALL_T, limits.LARGE_T):
+        for g in (phi, psi_limit):
+            lo, hi = g(math.nextafter(t, 0.0)), g(math.nextafter(t, math.inf))
+            assert abs(lo - hi) <= 1e-14
+
+
+def test_routes_match_mpmath_below_two():
+    # the series below SMALL_T and the exponential form above it, against
+    # 40-digit values on a grid of [0, 2] and either side of the switch
+    import mpmath
+    ts = [*np.linspace(0.0, 2.0, 4001)[1:], math.nextafter(limits.SMALL_T, 0.0),
+          limits.SMALL_T]
+    with mpmath.workdps(40):
+        for t in ts:
+            x = mpmath.mpf(t)
+            prefactor = 1 / x ** 2 - 1 / mpmath.sinh(x) ** 2
+            log_s = mpmath.log((1 + 2 * x ** 2 - mpmath.cosh(2 * x))
+                               * (1 - mpmath.coth(x)) / (2 * x ** 3))
+            assert abs(limits._prefactor(t) - float(prefactor)) <= 1e-14, t
+            assert abs(limits._log_s(t) - float(log_s)) <= 1e-14, t
+
+
+def test_phi_and_psi_finite_far_out():
+    # t^3 overflows past about 5.6e102; the asymptotic form takes logs first
+    for t in (1e103, 1e200, 1e308):
+        assert math.isfinite(phi(t)) and math.isfinite(psi_limit(t))
+    assert phi(1e200) == 0.0
 
 
 # -------------------------------------------------------------------- psi
@@ -250,11 +271,9 @@ def _panel_rule(f, T, order):
     return total
 
 
-# 20 against 30 points on [0, TAIL_T]; the prefactor's gap (2.5e-14) is not
-# the rule's: its exponential form cancels just above SMALL_T, where it is
-# up to 1e-11 off pointwise, and the two rules sample that rounding at
-# different nodes (on every panel after [0, 1/2] they agree within 1e-16)
-@pytest.mark.parametrize("g,bound", [(phi, 1e-14), (limits._prefactor, 5e-14)],
+# 20 against 30 points on [0, TAIL_T]: 8.9e-16 apart on phi and 2.2e-16 on
+# the prefactor
+@pytest.mark.parametrize("g,bound", [(phi, 1e-14), (limits._prefactor, 1e-14)],
                          ids=["phi", "prefactor"])
 def test_constants_rule_error_against_a_higher_order(g, bound):
     def f(t):

@@ -188,28 +188,27 @@ def test_freezing_aberth_matches_unfrozen_loop(kind, n):
     ref, ref_iters = _ref_aberth_iterate(p, guesses, tol, rootfind.DEFAULT_MAX_ITER)
     got, iters = rootfind._aberth_iterate(p, guesses, tol, rootfind.DEFAULT_MAX_ITER)
     assert iters == ref_iters
-    ref = rootfind._newton_polish(p, ref)
-    got = rootfind._newton_polish(p, got)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_REAL, GAUSSIAN_COMPLEX])
 @pytest.mark.parametrize("n", [200, 800])
 def test_frozen_solve_needs_no_polish(kind, n):
-    # a solve that froze every root skips the Newton polish: applied to its
-    # roots, the polish moves none by more than 1e-15 relative
+    # the sweep that froze a root landed it at machine precision: one more
+    # Newton step moves none by more than 1e-15 relative
     for seed in range(4):
         p = sample_kac(CoefficientDistribution(kind), n, seed, 0)
         rs = find_roots(p)
         assert rs.iterations < rootfind.DEFAULT_MAX_ITER
-        polished = rootfind._newton_polish(p, rs.roots)
-        assert np.max(np.abs(polished - rs.roots) / np.abs(rs.roots)) <= 1e-15
+        step = newton_ratio(p, rs.roots)
+        assert np.max(np.abs(step) / np.abs(rs.roots)) <= 1e-15
         assert np.max(rs.residuals) <= 1e-13
 
 
-def test_stalled_solve_is_still_polished():
-    # sum z^k / k! at degree 40 uses every sweep, so its roots are polished
-    # before the symmetrization and the collapse, as they always were
+def test_stalled_solve_takes_the_one_finishing_path():
+    # sum z^k / k! at degree 40 uses every sweep; its roots are still the
+    # Aberth roots symmetrized and collapsed, with nothing in between, and
+    # pass the residual certificate
     c = np.array([1.0 / math.factorial(k) for k in range(41)])
     rs = find_roots(Coefficients(c))
     assert rs.iterations == rootfind.DEFAULT_MAX_ITER
@@ -217,13 +216,10 @@ def test_stalled_solve_is_still_polished():
     roots, _ = rootfind._aberth_iterate(p, rootfind._initial_guesses(p),
                                         rootfind.DEFAULT_TOL,
                                         rootfind.DEFAULT_MAX_ITER)
-    unpolished = rootfind._collapse_certified_double_roots(
-        p, rootfind._symmetrize_conjugates(roots))
-    roots = rootfind._newton_polish(p, roots)
     roots = rootfind._collapse_certified_double_roots(
         p, rootfind._symmetrize_conjugates(roots))
-    assert np.array_equal(rs.roots, roots)
-    assert not np.array_equal(rs.roots, unpolished)
+    assert rs.roots.tobytes() == roots.tobytes()
+    assert np.max(rs.residuals) <= rootfind.DEFAULT_TOL
 
 
 # Forward error of _pair_sums in the standard model (u = 2^-53, gamma_k =
@@ -400,7 +396,7 @@ def test_node_route_falls_back_on_scattered_points(monkeypatch):
 @pytest.mark.parametrize("kind", [RADEMACHER, GAUSSIAN_COMPLEX])
 @pytest.mark.parametrize("n", [800, 1600])
 def test_node_route_takes_the_exact_route_path(monkeypatch, kind, n):
-    # same sweeps and, after polish, the same roots to 1e-14 relative
+    # same sweeps and the same roots to 1e-14 relative
     taken = []
     node_pair_sums = rootfind._node_pair_sums
 
@@ -419,7 +415,7 @@ def test_node_route_takes_the_exact_route_path(monkeypatch, kind, n):
         for pairs in routes:
             monkeypatch.setattr(rootfind, "NODE_ROUTE_PAIRS", pairs)
             roots, iters = rootfind._aberth_iterate(p, start, tol, max_iter)
-            runs.append((rootfind._newton_polish(p, roots), iters))
+            runs.append((roots, iters))
         (node, node_iters), (exact, iters) = runs
         assert node_iters == iters
         assert np.max(np.abs(node - exact) / np.abs(exact)) <= 1e-14
