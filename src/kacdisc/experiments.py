@@ -414,7 +414,9 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
     grid minimum within a small factor of the global one is refined by
     Gauss-Newton steps on g(theta) = |F(theta)|^2, vectorized across
     candidates: delta = -Re(conj(J) F) / |J|^2 with J = dF/dtheta, clipped
-    to the candidate's bracket of one grid step either side.  A point with
+    to the candidate's bracket of one grid step either side.  At most 32
+    candidates are kept, the smallest first and, among equal moduli (the
+    mirrored dips of a real polynomial), the lower index.  A point with
     J = 0 takes no step.  The result is the least |F| evaluated, so it
     never exceeds the grid minimum.
     """
@@ -424,7 +426,7 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
         return float(mags.min())
     cand = local[mags[local] <= 6.0 * mags.min()]
     if cand.size > 32:
-        cand = cand[np.argsort(mags[cand])[:32]]
+        cand = cand[np.argsort(mags[cand], kind="stable")[:32]]
     h = 2.0 * math.pi / m
     centre = 2.0 * math.pi * cand / m
     theta = centre

@@ -388,7 +388,22 @@ def circle_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
     circle.
 
     Entry j is the value at exp(2*pi*i*j/grid_points), computed in one FFT
-    pass.
+    pass.  For real coefficients that pass is a half-length real FFT r,
+    whose entry j is f(exp(-2*pi*i*j/M)) for j <= M//2 (M = grid_points);
+    as f(conj z) = conj f(z), entry j of the grid is conj(r[j]) up to M//2
+    and r[M - j] above.  An FFT shorter than the coefficient list would
+    drop c_k for k >= M instead of aliasing it, so such a grid raises
+    ValueError.
     """
-    return np.fft.ifft(np.asarray(coeffs, dtype=np.complex128),
-                       grid_points) * grid_points
+    c = np.asarray(coeffs)
+    if grid_points < c.size:
+        raise ValueError(f"a {grid_points}-point circle grid cannot hold "
+                         f"{c.size} coefficients")
+    if np.iscomplexobj(c):
+        return np.fft.ifft(np.asarray(coeffs, dtype=np.complex128),
+                           grid_points) * grid_points
+    r = np.fft.rfft(c, grid_points)
+    vals = np.empty(grid_points, dtype=np.complex128)
+    np.conjugate(r, out=vals[:r.size])
+    vals[r.size:] = r[grid_points - r.size:0:-1]
+    return vals

@@ -201,11 +201,6 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs-file"], {"coeffs": [1, [2]]}),
     (["disc", "--coeffs-file"], {"degree": 5, "coeffs": [1, 2]}),
     (["disc", "--coeffs", "1,0,-2", "--quad-factor", "1"], None),
-    (["constants", "--tol", "0"], None),
-    (["constants", "--tol", "-1"], None),
-    (["constants", "--tol", "nan"], None),
-    (["constants", "--tol", "inf"], None),
-    (["constants", "--tol", "1e-3"], None),
     (["lln", "--n", "8,x"], None),
     (["lln", "--trials", "3"], None),
     (["roots", "--coeffs", "1,x"], None),
@@ -226,9 +221,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
         "roots-file-list", "roots-file-ragged-coeffs",
-        "disc-file-wrong-degree", "disc-quad-factor-1", "constants-tol-0",
-        "constants-tol-negative", "constants-tol-nan", "constants-tol-inf",
-        "constants-tol-1e-3", "bad-n-list", "no-ladder", "bad-coeffs-list",
+        "disc-file-wrong-degree", "disc-quad-factor-1", "bad-n-list",
+        "no-ladder", "bad-coeffs-list",
         "missing-coeffs-file", "bad-table-list", "table-t-1e200",
         "keep-records-key", "roots-tol-negative", "roots-tol-nan",
         "roots-tol-10"])

@@ -342,6 +342,26 @@ def test_min_modulus_monomial(monkeypatch):
     assert _refine_circle_minimum(np.array([0.0] * 16 + [1.0]), flat) == 1.0
 
 
+def test_refinement_cap_breaks_exact_ties_by_index(monkeypatch):
+    # 50 dips: 10 at modulus 1 (the last ten) and 40 tied at 2; the cap of
+    # 32 keeps the ten smallest, then the 22 tied dips of lowest index
+    m = 400
+    mags = np.full(m, 10.0)
+    dips = 2 + 4 * np.arange(50)
+    mags[dips] = 2.0
+    mags[dips[40:]] = 1.0
+    seen = []
+
+    def stub(coeffs, theta):
+        seen.append(theta.copy())
+        return np.ones(theta.shape, complex), np.zeros(theta.shape, complex)
+
+    monkeypatch.setattr(experiments, "circle_value_and_slope", stub)
+    assert _refine_circle_minimum(np.ones(3), mags) == 1.0
+    expected = np.concatenate([dips[40:], dips[:22]])
+    assert np.array_equal(seen[0], 2.0 * math.pi * expected / m)
+
+
 def _golden_section_minimum(coeffs, mags):
     """The former refinement: a 48-step golden-section search over the same
     candidate brackets, evaluating both interior points on every step."""
@@ -359,7 +379,7 @@ def _golden_section_minimum(coeffs, mags):
         return float(mags.min())
     cand = local[mags[local] <= 6.0 * mags.min()]
     if cand.size > 32:
-        cand = cand[np.argsort(mags[cand])[:32]]
+        cand = cand[np.argsort(mags[cand], kind="stable")[:32]]
     h = 2.0 * math.pi / m
     a = 2.0 * math.pi * cand / m - h
     b = a + 2.0 * h

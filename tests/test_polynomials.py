@@ -553,6 +553,44 @@ def test_circle_values_match_direct():
         assert abs(vals[j] - P.polyval(z, c)) < 1e-10
 
 
+@pytest.mark.parametrize("kind,n,m", [
+    (RADEMACHER, 1024, 16 * 1025),     # even, the minmod grid
+    (GAUSSIAN_REAL, 1600, 25725),      # odd 11-smooth, 3 5^2 7^3
+    (UNIFORM_INT_RAW, 1600, 16 * 1601),  # prime factor 1601
+])
+def test_circle_values_real_path_matches_complex_fft(kind, n, m):
+    # Higham (2002), section 24.1: a computed length-M FFT of x has 2-norm
+    # error at most about log2(M) * eta * ||y||_2 with eta ~ mu + gamma_4
+    # (sqrt 2 + mu) < 8u for accurate weights; two transforms are compared,
+    # and ||y||_2 = sqrt(M) ||c||_2 (Parseval)
+    c = sample_kac(CoefficientDistribution(kind), n, 30, 0).coeffs
+    assert c.dtype == np.float64
+    vals = circle_values(c, m)
+    ref = np.fft.ifft(c.astype(np.complex128), m) * m
+    eps = np.finfo(np.float64).eps / 2
+    bound = 2 * math.log2(m) * 8 * eps * math.sqrt(m) * np.linalg.norm(c)
+    assert vals.shape == (m,)
+    assert np.linalg.norm(vals - ref) <= bound
+    # f(conj z) = conj f(z) holds exactly on the grid
+    assert np.array_equal(vals[1:], np.conj(vals[:0:-1]))
+    assert vals[0].imag == 0
+
+
+def test_circle_values_complex_path_is_the_inverse_fft():
+    c = sample_kac(CoefficientDistribution(GAUSSIAN_COMPLEX), 300, 30, 0).coeffs
+    m = 16 * 301
+    assert (circle_values(c, m).tobytes()
+            == (np.fft.ifft(c, m) * m).tobytes())
+
+
+@pytest.mark.parametrize("c", [np.ones(9), np.ones(9, dtype=np.complex128)])
+def test_circle_values_rejects_a_grid_below_the_coefficient_count(c):
+    # a shorter FFT would drop c_k for k >= M instead of aliasing it
+    with pytest.raises(ValueError, match="8-point circle grid"):
+        circle_values(c, 8)
+    assert np.allclose(circle_values(c, 9)[1:], 0.0, atol=1e-14)
+
+
 def test_max_growth_event_frequency():
     # growth event: all three normalized derivative maxima on the circle of
     # radius 1 + 1/n stay below log n; observed in >= 99% of seeded trials
