@@ -115,11 +115,7 @@ def _add_experiment_flags(sp):
     sp.add_argument("--n", help="comma-separated degree ladder")
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--omega", choices=["log2", "log3"],
-                    help="annulus growth: log^2 n or log^3 n")
-    sp.add_argument("--quad-factor", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="parallel workers (default: KDL_WORKERS or 1)")
+    sp.add_argument("--workers", type=int, help="parallel workers (default 1)")
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--format", choices=["csv", "jsonl", "json"],
                     default="csv")
@@ -164,15 +160,7 @@ def _resolve_config(args, default_dist: str) -> ExperimentConfig:
     elif "n_ladder" not in base:
         raise _UsageError("need --n (or a config with n_ladder)")
     given = {**base, **_given(trials=args.trials, master_seed=args.seed,
-                              annulus_omega=args.omega,
-                              quad_factor=args.quad_factor,
                               workers=args.workers)}
-    env_workers = os.environ.get("KDL_WORKERS")
-    if "workers" not in given and env_workers:
-        try:
-            given["workers"] = int(env_workers)
-        except ValueError:
-            raise _UsageError(f"KDL_WORKERS must be an integer, got {env_workers!r}")
     try:
         return ExperimentConfig(dist=CoefficientDistribution(**dist), **given)
     except ValueError as exc:
@@ -254,7 +242,7 @@ def _cmd_experiment(name: str, args) -> int:
     report = _EXPERIMENTS[name](config)
     if args.out:
         out = Path(args.out)
-        _write_manifest(args, {"config": config.to_dict(),
+        _write_manifest(args, {"config": report.config,
                                "format": args.format})
         emit_table(report, args.format, out, args.force)
         print(f"{name}: wrote report to {out}")

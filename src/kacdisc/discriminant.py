@@ -245,13 +245,15 @@ def mahler(p: Coefficients, rs: RootSet, quad_points: int) -> MahlerResult:
     Quadrature route: trapezoid mean of log|p| over the uniform grid of at
     least ``quad_points`` points (:func:`quad_grid_points`).
     Root route: log|c_n| + sum of log|alpha| over roots outside the circle.
+    A root within ON_CIRCLE_GUARD of the circle, where :func:`decompose`
+    leaves its split undefined, raises GridCollisionError.
     """
     _check_quad_points(p.degree, quad_points)
     mod = np.abs(rs.roots)
     nearest = float(np.min(np.abs(mod - 1.0))) if mod.size else math.inf
-    if nearest <= 1e-14:
+    if nearest <= ON_CIRCLE_GUARD:
         raise GridCollisionError(
-            "a root lies within 1e-14 of the unit circle "
+            f"a root lies within {ON_CIRCLE_GUARD:g} of the unit circle "
             f"(distance {nearest:.1e})")
     log_m_roots = math.log(abs(p.coeffs[-1])) + float(
         np.sum(np.log(mod[mod > 1.0])))

@@ -40,16 +40,14 @@ class ExperimentConfig:
     """Knobs shared by all experiments; a field of another type than its
     annotation is a ValueError, except a list ladder, which becomes a tuple.
 
-    ``to_dict`` is the ``config`` a run's manifest echoes; given back as a
-    ``--config`` file it reruns the same experiment (see ``cli``).
+    ``asdict(config)`` is the ``config`` a run's manifest echoes; given back
+    as a ``--config`` file it reruns the same experiment (see ``cli``).
     """
 
     dist: CoefficientDistribution
     n_ladder: tuple
     trials: int = 100
     master_seed: int = 0
-    annulus_omega: str = "log2"
-    quad_factor: int = 16
     workers: int = 1
     allow_ineligible: bool = False
 
@@ -72,18 +70,8 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be nonempty")
         if any(n < 1 for n in self.n_ladder):
             raise ValueError("n_ladder entries must be >= 1")
-        if self.annulus_omega not in ("log2", "log3"):
-            raise ValueError("annulus_omega must be 'log2' or 'log3'")
-        if self.quad_factor < MIN_QUAD_FACTOR:
-            raise ValueError(f"quad_factor must be >= {MIN_QUAD_FACTOR}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    def omega(self, n: int) -> float:
-        return math.log(n) ** 2 if self.annulus_omega == "log2" else math.log(n) ** 3
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -101,9 +89,6 @@ class SummaryStats:
     q50: float
     q75: float
     q95: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def summarize(values) -> SummaryStats:
@@ -252,7 +237,7 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
         for k, v in left_out.items():
             guards[k] += v
     return ExperimentReport(
-        experiment=name, config=config.to_dict(), per_n=per_n,
+        experiment=name, config=asdict(config), per_n=per_n,
         reference=reference, guards=guards, record_columns=columns,
         records=all_recs)
 
@@ -261,7 +246,7 @@ def _breakdown_trial(config: ExperimentConfig, p) -> dict:
     """Direct-route theorem statistic plus, when no root sits on the unit
     circle, the decomposition pieces."""
     try:
-        br = decompose(p, find_roots(p), config.quad_factor * (p.degree + 1))
+        br = decompose(p, find_roots(p), MIN_QUAD_FACTOR * (p.degree + 1))
     except DoubleRootError:
         return {"status": "double_root"}
     rec = {"log_abs_disc_direct": br.log_abs_disc_direct,
@@ -306,7 +291,7 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
         # on-circle roots leave the statistic valid, only the split undefined
         stats = summarize([r["statistic"] for r in recs
                            if r["status"] in ("ok", "circle_root")])
-        return {"stats": stats.to_dict(),
+        return {"stats": asdict(stats),
                 "abs_dev_from_minus_d_star": abs(stats.mean + dstar)}
 
     return _run_experiment(config, "lln", _breakdown_trial, _BREAKDOWN_COLUMNS,
@@ -324,8 +309,8 @@ def run_symmetry(config: ExperimentConfig) -> ExperimentReport:
         inside = [r["sum_inside"] for r in ok]
         outside = [r["sum_outside"] for r in ok]
         d, p = ks_two_sample(inside, outside)
-        return {"inside": summarize(inside).to_dict(),
-                "outside": summarize(outside).to_dict(),
+        return {"inside": asdict(summarize(inside)),
+                "outside": asdict(summarize(outside)),
                 "ks_distance": d, "ks_pvalue": p, "reject": bool(p < level)}
 
     return _run_experiment(config, "symmetry", _breakdown_trial,
@@ -339,7 +324,7 @@ def _mahler_trial(config: ExperimentConfig, p) -> dict:
     none."""
     n = p.degree
     vals = np.abs(circle_values(
-        p.coeffs, quad_grid_points(config.quad_factor * (n + 1))))
+        p.coeffs, quad_grid_points(MIN_QUAD_FACTOR * (n + 1))))
     if vals.min() < MIN_MODULUS_GUARD:
         return {"status": "grid_root"}
     return {"statistic": float(np.mean(np.log(vals))) - 0.5 * math.log(n)}
@@ -354,7 +339,7 @@ def run_mahler(config: ExperimentConfig) -> ExperimentReport:
 
     def reduce(n, recs):
         stats = summarize([r["statistic"] for r in recs if r["status"] == "ok"])
-        return {"stats": stats.to_dict(),
+        return {"stats": asdict(stats),
                 "abs_dev_from_minus_half_gamma":
                     abs(stats.mean + limits.EULER_GAMMA / 2.0),
                 "mahler_point_estimate": math.exp(stats.mean) * math.sqrt(n)}
@@ -366,9 +351,9 @@ def run_mahler(config: ExperimentConfig) -> ExperimentReport:
 
 def _clustering_trial(config: ExperimentConfig, p) -> dict:
     n = p.degree
-    stats = root_stats(find_roots(p), n, omega_annulus(n, config.omega(n)))
+    stats = root_stats(find_roots(p), n, omega_annulus(n))
     grid_max = float(np.max(np.abs(
-        circle_values(p.coeffs, config.quad_factor * (n + 1)))))
+        circle_values(p.coeffs, MIN_QUAD_FACTOR * (n + 1)))))
     bound = erdos_turan_bound(p, 2.0 * grid_max)  # factor 2 covers grid slack
     return {"annulus_fraction": stats.annulus_count / n,
             "sector_count": stats.sector_count, "sector_bound": bound,
@@ -384,20 +369,20 @@ _CLUSTERING_COLUMNS = ("annulus_fraction", "sector_count", "sector_bound",
 
 
 def run_clustering(config: ExperimentConfig) -> ExperimentReport:
-    """Fraction of roots in the omega(n)/n annulus, almost-real sector counts
-    against the angular bound, and dyadic arc discrepancy."""
+    """Fraction of roots in the log^2(n)/n annulus, almost-real sector
+    counts against the angular bound, and dyadic arc discrepancy."""
 
     def reduce(n, recs):
         ok = [r for r in recs if r["status"] == "ok"]
         return {
             "annulus_fraction":
-                summarize([r["annulus_fraction"] for r in ok]).to_dict(),
+                asdict(summarize([r["annulus_fraction"] for r in ok])),
             "sector_violations": sum(1 for r in ok if not r["sector_ok"]),
-            "discrepancy": summarize([r["discrepancy"] for r in ok]).to_dict()}
+            "discrepancy": asdict(summarize([r["discrepancy"] for r in ok]))}
 
     return _run_experiment(config, "clustering", _clustering_trial,
                            _CLUSTERING_COLUMNS, ("nonconverged",), reduce,
-                           {"omega": config.annulus_omega})
+                           {"omega": "log2"})
 
 
 # Worst relative gap to a 10-step refinement over 40 trials per distribution
@@ -445,7 +430,7 @@ def _refine_circle_minimum(coeffs: np.ndarray, mags: np.ndarray) -> float:
 
 def _minmod_trial(config: ExperimentConfig, p) -> dict:
     n = p.degree
-    mags = np.abs(circle_values(p.coeffs, config.quad_factor * (n + 1)))
+    mags = np.abs(circle_values(p.coeffs, MIN_QUAD_FACTOR * (n + 1)))
     refined = _refine_circle_minimum(p.coeffs, mags)
     return {"statistic": math.sqrt(n) * float(mags.min()),
             "statistic_refined": math.sqrt(n) * refined}
@@ -455,16 +440,18 @@ def run_min_modulus(config: ExperimentConfig) -> ExperimentReport:
     """Distribution of sqrt(n) * (minimum of |f| on the unit circle).
 
     ``statistic`` uses the raw grid minimum; ``statistic_refined`` sharpens
-    each candidate dip by Gauss-Newton steps, which is the version whose
-    law actually stabilizes as n grows.
+    each candidate dip by Gauss-Newton steps.  Its law does not yet
+    stabilize: for complex-Gaussian coefficients its mean was 1.02 / 1.42 /
+    2.82 at n = 256 / 1024 / 4096, as the candidate cap misses the deepest
+    dip more often at large n (ROADMAP item 18).
     """
 
     def reduce(n, recs):
         vals = [r["statistic"] for r in recs]
         refined = [r["statistic_refined"] for r in recs]
         return {
-            "stats": summarize(vals).to_dict(),
-            "stats_refined": summarize(refined).to_dict(),
+            "stats": asdict(summarize(vals)),
+            "stats_refined": asdict(summarize(refined)),
             "fraction_below_one_over_n":
                 sum(1 for v in vals if v < n ** -0.5) / len(vals),
             "fraction_refined_below_one_over_n":
@@ -511,7 +498,7 @@ def run_kacrice_gaussian(config: ExperimentConfig) -> ExperimentReport:
         stats = summarize([r["statistic"] for r in recs if r["status"] == "ok"])
         quad = quads[n]
         gap = abs(stats.mean - quad) / stats.stderr
-        return {"stats": stats.to_dict(), "quadrature_conditional": quad,
+        return {"stats": asdict(stats), "quadrature_conditional": quad,
                 "gap_conditional_in_se": gap}
 
     return _run_experiment(config, "kacrice", _kacrice_trial, ("statistic",),

@@ -366,8 +366,9 @@ def canonical_annulus(n: int) -> tuple:
     return (max(0.0, 1.0 - math.log(n) ** 3 / n), 1.0)
 
 
-def omega_annulus(n: int, omega: float) -> tuple:
-    """Two-sided annulus {1 - omega/n <= |z| <= 1 + omega/n}."""
+def omega_annulus(n: int) -> tuple:
+    """Two-sided annulus {1 - omega/n <= |z| <= 1 + omega/n}, omega = log^2 n."""
+    omega = math.log(n) ** 2
     return (max(0.0, 1.0 - omega / n), 1.0 + omega / n)
 
 

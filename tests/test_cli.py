@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import shlex
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacdisc import experiments
-from kacdisc.cli import dispatch
+from kacdisc.cli import _EXPERIMENTS, build_parser, dispatch
 from kacdisc.errors import NonConvergenceError
 from kacdisc.polynomials import Coefficients
 
@@ -208,6 +209,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["constants", "--table", "1,x"], None),
     (["constants", "--table", "1e200"], None),
     (["lln"], {"n_ladder": [8], "keep_records": False}),
+    (["lln"], {"n_ladder": [8], "quad_factor": 16}),
+    (["clustering"], {"n_ladder": [8], "annulus_omega": "log2"}),
     (["roots", "--coeffs", "1,0,-2", "--tol", "-1"], None),
     (["roots", "--coeffs", "1,0,-2", "--tol", "nan"], None),
     (["roots", "--coeffs=-2,0,1", "--tol", "10"], None),
@@ -224,7 +227,8 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "disc-file-wrong-degree", "disc-quad-factor-1", "bad-n-list",
         "no-ladder", "bad-coeffs-list",
         "missing-coeffs-file", "bad-table-list", "table-t-1e200",
-        "keep-records-key", "roots-tol-negative", "roots-tol-nan",
+        "keep-records-key", "quad-factor-key", "annulus-omega-key",
+        "roots-tol-negative", "roots-tol-nan",
         "roots-tol-10"])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     monkeypatch.setattr(experiments, "_run_trials", _no_trials)
@@ -239,8 +243,11 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, cfg):
     assert err.startswith("usage error:")
     if isinstance(cfg, dict) and "coeffs" in (cfg.get("dist") or {}):
         assert "coeffs" in err  # a dist holds only kind and k
-    if isinstance(cfg, dict) and "keep_records" in cfg:
-        assert "keep_records" in err  # every run keeps its records
+    # keys this build no longer has: every run keeps its records, samples
+    # the circle on the grid floor and counts in the log^2 n annulus
+    for key in ("keep_records", "quad_factor", "annulus_omega"):
+        if isinstance(cfg, dict) and key in cfg:
+            assert key in err
 
 
 @given(st.floats(min_value=0.0, allow_infinity=False))
@@ -280,14 +287,33 @@ def test_missing_coeffs_usage_error(capsys):
     assert run(capsys, "disc")[0] == 1
 
 
-def test_bad_worker_env_is_usage_error(capsys, monkeypatch):
+def test_worker_count_ignores_the_environment(capsys, monkeypatch):
+    # only --workers and the config file set it
     monkeypatch.setenv("KDL_WORKERS", "abc")
-    rc, out, err = run(capsys, "lln", "--n", "8", "--trials", "1")
-    assert rc == 1
-    assert err.startswith("usage error:") and "KDL_WORKERS" in err
-    assert out == ""
-    # an explicit --workers flag does not read the variable
-    assert run(capsys, "lln", "--n", "8", "--trials", "1", "--workers", "1")[0] == 0
+    rc, out, _ = run(capsys, "lln", "--n", "8", "--trials", "1")
+    assert rc == 0
+    assert json.loads(out)["config"]["workers"] == 1
+
+
+def test_experiments_take_no_grid_or_annulus_flag(capsys):
+    # every experiment samples the grid floor and counts in the log^2 annulus
+    for name in _EXPERIMENTS:
+        for flag in ("--omega=log2", "--quad-factor=16"):
+            rc, out, err = run(capsys, name, "--n", "97", flag)
+            assert _one_line_error(rc, out, err)
+            assert err == f"usage error: unrecognized arguments: {flag}\n"
+
+
+def test_readme_cli_examples_parse():
+    # the README's command block must stay in step with the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    fenced = readme.split("```")[1::2]
+    commands = [shlex.split(line.split("#")[0])[1:]
+                for block in fenced for line in block.splitlines()
+                if line.startswith("kacdisc ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -11,7 +11,7 @@ from kacdisc.errors import (DoubleRootError, GridCollisionError,
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
                                  CoefficientDistribution, Coefficients,
                                  circle_values, log_abs_deriv, sample_kac)
-from kacdisc.rootfind import find_roots
+from kacdisc.rootfind import ON_CIRCLE_GUARD, find_roots
 
 
 def coeffs(*vals):
@@ -177,9 +177,20 @@ def test_mahler_refuses_a_root_on_the_circle():
     # grid point: x^2 - 1 has its roots +-1 on it
     p = coeffs(-1.0, 0.0, 1.0)
     with pytest.raises(GridCollisionError,
-                       match=r"a root lies within 1e-14 of the unit circle "
+                       match=r"a root lies within 1e-12 of the unit circle "
                              r"\(distance 0\.0e\+00\)"):
         mahler(p, find_roots(p), 64)
+    # (z - (1 + 5e-13))(z - 3) has a root within ON_CIRCLE_GUARD of the
+    # circle, where decompose leaves its split undefined
+    r = 1.0 + 5e-13
+    p = coeffs(3.0 * r, -(r + 3.0), 1.0)
+    rs = find_roots(p)
+    assert 0 < np.min(np.abs(np.abs(rs.roots) - 1.0)) <= ON_CIRCLE_GUARD
+    assert math.isnan(decompose(p, rs, 64).sum_inside)
+    with pytest.raises(GridCollisionError,
+                       match=r"within 1e-12 of the unit circle "
+                             r"\(distance 5\.0e-13\)"):
+        mahler(p, rs, 64)
 
 
 def test_mahler_golden_ratio():
@@ -251,7 +262,7 @@ def test_mahler_trial_guard_reads_the_quadrature_grid():
     n = 12
     config = ExperimentConfig(dist=CoefficientDistribution(GAUSSIAN_COMPLEX),
                               n_ladder=(n,), trials=1)
-    assert quad_grid_points(config.quad_factor * (n + 1)) == 210
+    assert quad_grid_points(MIN_QUAD_FACTOR * (n + 1)) == 210
     c = np.zeros(n + 1, dtype=np.complex128)
     c[0], c[n] = -np.exp(2j * np.pi * n / 210), 1.0
     p = Coefficients(c)

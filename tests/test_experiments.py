@@ -125,10 +125,6 @@ def test_config_validation():
         config(trials=0)
     with pytest.raises(ValueError):
         config(n_ladder=(32, 16))
-    with pytest.raises(ValueError):
-        config(annulus_omega="loglog")
-    with pytest.raises(ValueError):
-        config(quad_factor=2)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         config(master_seed=-1)
     with pytest.raises(ValueError, match="n_ladder must be nonempty"):
@@ -146,10 +142,10 @@ def test_config_rejects_degree_below_one(ladder):
 @pytest.mark.parametrize("field,value", [
     ("n_ladder", "16"), ("n_ladder", [8.7]), ("n_ladder", 16),
     ("trials", 2.5), ("trials", "x"), ("trials", True),
-    ("quad_factor", 16.5), ("workers", True),
+    ("workers", True),
     ("allow_ineligible", "false"), ("dist", RADEMACHER),
 ], ids=["string-ladder", "float-ladder", "int-ladder", "float-trials",
-        "string-trials", "bool-trials", "float-quad-factor", "bool-workers",
+        "string-trials", "bool-trials", "bool-workers",
         "string-allow-ineligible", "string-dist"])
 def test_config_rejects_ill_typed_field(field, value):
     # a truthy string must not pass for allow_ineligible=True, nor "16" for

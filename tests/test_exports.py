@@ -31,7 +31,7 @@ NO_PACKAGE_CALLER = {
 
 # dataclasses with fields no package module reads, kept for these readers
 WHOLE_CLASS_READERS = {
-    "SummaryStats": "to_dict writes it whole into report.json",
+    "SummaryStats": "the runners write it whole into report.json",
     "MahlerResult": "criterion 05 reads it",
 }
 

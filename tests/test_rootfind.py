@@ -120,8 +120,7 @@ def test_annulus_fraction_large_n():
     n = 2000
     p = sample_kac(CoefficientDistribution(RADEMACHER), n, 3, 0)
     rs = find_roots(p)
-    lo, hi = omega_annulus(n, math.log(n) ** 2)
-    stats = root_stats(rs, n, (lo, hi))
+    stats = root_stats(rs, n, omega_annulus(n))
     assert stats.annulus_count / n >= 0.9
 
 
