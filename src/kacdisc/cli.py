@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments, limits
-from .discriminant import CSV_COLUMNS, check_decomposable, decompose
+from .discriminant import MIN_QUAD_FACTOR, DiscriminantBreakdown, decompose
 from .errors import ExperimentIntegrityError, KacdiscError
 from .experiments import ExperimentConfig, ExperimentReport
 from .polynomials import (GAUSSIAN_COMPLEX, KINDS, RADEMACHER,
@@ -179,13 +179,13 @@ def _cmd_constants(args) -> int:
                      limits.s_n_suite(args.table_n, t).psi_n) for t in ts]
         except ValueError as exc:
             raise _UsageError(f"--table/--table-n: {exc}")
-    table = limits.ConstantTable.compute()
-    off = table.d_star - limits.D_STAR
+    d_star = limits.d_star()
+    off = d_star - limits.D_STAR
     verdict = "ok" if abs(off) <= D_STAR_REFERENCE_TOL else f"off by {off:+.3e}"
-    print(f"gamma        = {table.gamma!r}")
-    print(f"integral_phi = {table.integral_phi!r}")
-    print(f"c_star       = {table.c_star!r}")
-    print(f"d_star       = {table.d_star!r}  "
+    print(f"gamma        = {limits.EULER_GAMMA!r}")
+    print(f"integral_phi = {limits.integral_phi()!r}")
+    print(f"c_star       = {limits.c_star()!r}")
+    print(f"d_star       = {d_star!r}  "
           f"[reference {limits.D_STAR!r} +/- {D_STAR_REFERENCE_TOL}: {verdict}]")
     if args.table:
         print("t,phi,psi,psi_n")
@@ -222,17 +222,18 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    """The breakdown an `lln` record holds for the same polynomial, on the
+    runners' grid, headed on stderr by the direct total."""
     p = _parse_coeffs(args)
-    quad_points = args.quad_factor * (p.degree + 1)
     try:
-        check_decomposable(p.degree, quad_points)
+        br = decompose(p, find_roots(p), MIN_QUAD_FACTOR * (p.degree + 1))
     except ValueError as exc:
         raise _UsageError(str(exc))
-    br = decompose(p, find_roots(p), quad_points)
-    _deliver(args, {"quad_factor": args.quad_factor,
-                    "coeffs": json.loads(p.to_json())},
-             "breakdown.csv", ",".join(CSV_COLUMNS) + "\n" + br.csv_row() + "\n")
-    print(f"log|disc| = {br.total_log_abs_disc!r}", file=sys.stderr)
+    header = ",".join(f.name for f in fields(DiscriminantBreakdown))
+    row = ",".join(repr(v) for v in astuple(br))
+    _deliver(args, {"coeffs": json.loads(p.to_json())},
+             "breakdown.csv", f"{header}\n{row}\n")
+    print(f"log|disc| = {br.log_abs_disc_direct!r}", file=sys.stderr)
     return 0
 
 
@@ -292,7 +293,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(run=_cmd_disc)
     sp.add_argument("--coeffs")
     sp.add_argument("--coeffs-file")
-    sp.add_argument("--quad-factor", type=int, default=64)
     sp.add_argument("--out")
     sp.add_argument("--force", action="store_true")
 

@@ -27,18 +27,13 @@ MIN_QUAD_FACTOR = 16
 PAIR_THRESHOLD = 1e-9
 DERIV_THRESHOLD = 1e-9
 
-# The fields of DiscriminantBreakdown.csv_row, in order: the header of the
-# `disc` output.
-CSV_COLUMNS = ("n", "sum_inside", "sum_outside", "mahler_term", "log_n_term",
-               "total_log_abs_disc", "theorem_statistic")
-
 
 @dataclass(frozen=True)
 class DiscriminantBreakdown:
     """The three additive pieces of log|disc| plus normalization terms.
 
     total = sum_inside + sum_outside + mahler_term + log_n_term, and
-    theorem_statistic = (total - 2 n log n) / n.  ``log_abs_disc_direct`` is
+    statistic = (total - 2 n log n) / n.  ``log_abs_disc_direct`` is
     (n-2) log|c_n| + sum_j log|f'(alpha_j)|, the total when the pieces are NaN.
     """
 
@@ -48,11 +43,8 @@ class DiscriminantBreakdown:
     mahler_term: float
     log_n_term: float
     total_log_abs_disc: float
-    theorem_statistic: float
+    statistic: float
     log_abs_disc_direct: float
-
-    def csv_row(self) -> str:
-        return ",".join(repr(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -117,15 +109,6 @@ def _check_quad_points(degree: int, quad_points: int) -> None:
         raise ValueError(f"quad_points must be at least {MIN_QUAD_FACTOR}*(degree+1)")
 
 
-def check_decomposable(degree: int, quad_points: int) -> None:
-    """Raise ValueError unless :func:`decompose` takes a degree-``degree``
-    polynomial with ``quad_points``: degree at least 2 and the quadrature
-    floor.  It needs no roots, so a caller can run it before solving."""
-    if degree < 2:
-        raise ValueError("decomposition needs degree >= 2")
-    _check_quad_points(degree, quad_points)
-
-
 def decompose(p: Coefficients, rs: RootSet,
               quad_points: int) -> DiscriminantBreakdown:
     """log|disc| of a solved root set: the only route from roots to it.
@@ -142,7 +125,9 @@ def decompose(p: Coefficients, rs: RootSet,
     total and statistic are the direct total.
     """
     n = p.degree
-    check_decomposable(n, quad_points)
+    if n < 2:
+        raise ValueError("decomposition needs degree >= 2")
+    _check_quad_points(n, quad_points)
     logfp = log_abs_deriv(p, rs.roots)
     if double_root_guard(rs, p, logfp):
         raise DoubleRootError("repeated root: log|disc| is -inf")
@@ -165,7 +150,7 @@ def decompose(p: Coefficients, rs: RootSet,
         n=n, sum_inside=sum_inside, sum_outside=sum_outside,
         mahler_term=mahler_term, log_n_term=log_n_term,
         total_log_abs_disc=total,
-        theorem_statistic=(total - 2 * n * logn) / n,
+        statistic=(total - 2 * n * logn) / n,
         log_abs_disc_direct=direct)
 
 

@@ -250,7 +250,7 @@ def _breakdown_trial(config: ExperimentConfig, p) -> dict:
     except DoubleRootError:
         return {"status": "double_root"}
     rec = {"log_abs_disc_direct": br.log_abs_disc_direct,
-           "statistic": br.theorem_statistic}
+           "statistic": br.statistic}
     if math.isnan(br.sum_inside):
         # statistic still valid; only the inside/outside split is undefined
         rec["status"] = "circle_root"

@@ -156,21 +156,6 @@ def d_star() -> float:
     return EULER_GAMMA - 0.5 + math.log(2.0) - 0.5 * integral_phi()
 
 
-@dataclass(frozen=True)
-class ConstantTable:
-    """The assembled limit constants."""
-
-    gamma: float
-    integral_phi: float
-    c_star: float
-    d_star: float
-
-    @classmethod
-    def compute(cls) -> "ConstantTable":
-        return cls(gamma=EULER_GAMMA, integral_phi=integral_phi(),
-                   c_star=c_star(), d_star=d_star())
-
-
 def normalization_identity_check() -> float:
     """Numerical int_0^inf (1/t^2 - 1/sinh^2 t) dt by _panel_rule on [0, 100]
     plus the closed-form tail; the antiderivative -1/t + coth t makes the

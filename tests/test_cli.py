@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -111,21 +112,11 @@ def test_disc_degree_one_is_usage_error(capsys):
     assert err == "usage error: decomposition needs degree >= 2\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--coeffs=1,2"], "decomposition needs degree >= 2"),
-    (["--coeffs=1,0,-2", "--quad-factor", "15"],
-     "quad_points must be at least 16*(degree+1)"),
-])
-def test_disc_checks_input_before_solving(capsys, monkeypatch, argv, message):
-    from kacdisc import cli
-
-    def no_solve(p, *args):
-        raise AssertionError("find_roots ran")
-
-    monkeypatch.setattr(cli, "find_roots", no_solve)
-    rc, out, err = run(capsys, "disc", *argv)
+def test_disc_takes_no_grid_flag(capsys):
+    # disc samples the circle on the runners' grid floor
+    rc, out, err = run(capsys, "disc", "--coeffs=1,0,-2", "--quad-factor=64")
     assert _one_line_error(rc, out, err)
-    assert err == f"usage error: {message}\n"
+    assert err == "usage error: unrecognized arguments: --quad-factor=64\n"
 
 
 def _no_trials(*args):
@@ -201,7 +192,6 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
     (["roots", "--coeffs-file"], [1, 2]),
     (["roots", "--coeffs-file"], {"coeffs": [1, [2]]}),
     (["disc", "--coeffs-file"], {"degree": 5, "coeffs": [1, 2]}),
-    (["disc", "--coeffs", "1,0,-2", "--quad-factor", "1"], None),
     (["lln", "--n", "8,x"], None),
     (["lln", "--trials", "3"], None),
     (["roots", "--coeffs", "1,x"], None),
@@ -224,7 +214,7 @@ def test_mahler_degree_one_runs_for_gaussian(capsys):
         "sample-negative-trial",
         "roots-file-not-json", "roots-file-string-coeffs",
         "roots-file-list", "roots-file-ragged-coeffs",
-        "disc-file-wrong-degree", "disc-quad-factor-1", "bad-n-list",
+        "disc-file-wrong-degree", "bad-n-list",
         "no-ladder", "bad-coeffs-list",
         "missing-coeffs-file", "bad-table-list", "table-t-1e200",
         "keep-records-key", "quad-factor-key", "annulus-omega-key",
@@ -279,8 +269,35 @@ def test_disc_total_log4(capsys):
     assert float(row[5]) == pytest.approx(math.log(4), abs=1e-12)
     # roots +-1 lie on the circle: no split, the direct total and statistic
     assert ",".join(row) == ("2,nan,nan,nan,2.0794415416798357,"
-                             "1.3862943611198906,-0.6931471805599453")
-    assert "log|disc|" in err
+                             "1.3862943611198906,-0.6931471805599453,"
+                             "1.3862943611198906")
+    assert err == "log|disc| = 1.3862943611198906\n"
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian-complex",
+                                  "gaussian-real"])
+def test_disc_reproduces_the_lln_record(tmp_path, capsys, dist):
+    # disc runs decompose on the runners' grid, so the polynomial that
+    # sample writes for a trial gives back that trial's record; circle_root
+    # trials are left out, their record has no total_log_abs_disc
+    flags = ["--dist", dist, "--seed", "7"]
+    assert run(capsys, "lln", *flags, "--n", "64,200", "--trials", "3",
+               "--out", str(tmp_path / "lln"))[0] == 0
+    with open(tmp_path / "lln" / "records.csv") as fh:
+        records = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+    assert records
+    for rec in records:
+        out = tmp_path / f"sample-{rec['n']}-{rec['trial']}"
+        assert run(capsys, "sample", *flags, "--n", rec["n"],
+                   "--trial", rec["trial"], "--out", str(out))[0] == 0
+        rc, text, err = run(capsys, "disc", "--coeffs-file",
+                            str(out / "coefficients.json"))
+        assert rc == 0
+        header, row = text.splitlines()
+        breakdown = dict(zip(header.split(","), row.split(",")))
+        assert breakdown == {k: rec[k] for k in header.split(",")}
+        assert len(breakdown) == 8
+        assert err == f"log|disc| = {rec['log_abs_disc_direct']}\n"
 
 
 def test_missing_coeffs_usage_error(capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kacdisc.discriminant import (MIN_QUAD_FACTOR, DiscriminantBreakdown,
-                                  decompose, double_root_guard,
-                                  exact_discriminant, mahler, quad_grid_points)
+from kacdisc.discriminant import (MIN_QUAD_FACTOR, decompose,
+                                  double_root_guard, exact_discriminant,
+                                  mahler, quad_grid_points)
 from kacdisc.errors import (DoubleRootError, GridCollisionError,
                             OracleCapError)
 from kacdisc.polynomials import (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER,
@@ -117,7 +117,7 @@ def test_decompose_matches_direct_route():
         direct = br.log_abs_disc_direct
         assert abs(br.total_log_abs_disc - direct) <= 1e-8 * (1 + abs(direct))
         recomputed = (br.total_log_abs_disc - 2 * 30 * math.log(30)) / 30
-        assert recomputed == br.theorem_statistic
+        assert recomputed == br.statistic
         done += 1
 
 
@@ -152,12 +152,9 @@ def test_decompose_guards():
         decompose(pd, find_roots(pd), 64)
     with pytest.raises(ValueError):
         decompose(coeffs(1.0, 1.0), find_roots(coeffs(1.0, 1.0)), 64)
-
-
-def test_breakdown_csv_row():
-    br = DiscriminantBreakdown(3, 0.5, -0.5, 1.0, 2.0, 3.0, -0.25, 3.0)
-    row = br.csv_row().split(",")
-    assert row[0] == "3" and float(row[-1]) == -0.25 and len(row) == 7
+    # 16 points per coefficient is the quadrature floor
+    with pytest.raises(ValueError, match="quad_points must be at least"):
+        decompose(p, find_roots(p), 47)
 
 
 # ------------------------------------------------------------------ Mahler

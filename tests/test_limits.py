@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kacdisc import limits
-from kacdisc.limits import (EULER_GAMMA, ConstantTable, T_n, c_star, d_star,
+from kacdisc.limits import (EULER_GAMMA, T_n, c_star, d_star,
                             gaussian_log_moment, integral_phi,
                             kac_rice_exact_mean, normalization_identity_check,
                             phi, psi_limit, s_n_suite)
@@ -102,6 +102,7 @@ def test_integral_phi_golden():
 def test_constant_identities():
     ip = integral_phi()
     assert c_star() == pytest.approx(1 - EULER_GAMMA + ip, abs=1e-15)
+    assert abs(c_star() - C_STAR) < 1e-9
     assert d_star() == pytest.approx(
         EULER_GAMMA - 0.5 + math.log(2) - ip / 2, abs=1e-15)
     # Mahler term plus inside and outside derivative sums, each with limit
@@ -111,17 +112,10 @@ def test_constant_identities():
     assert d_star() > 0
 
 
-def test_constant_table():
-    tbl = ConstantTable.compute()
-    assert abs(tbl.d_star - D_STAR) < 1e-9
-    assert abs(tbl.c_star - C_STAR) < 1e-9
-    assert tbl.gamma == EULER_GAMMA
-
-
 def test_d_star_pin():
     # the runners read D_STAR; d_star derives it and the `constants`
     # verdict checks the derivation against it
-    assert limits.D_STAR == float("2.708980049616457007144400806")
+    assert limits.D_STAR == D_STAR
     assert abs(d_star() - limits.D_STAR) <= 1e-14
 
 
