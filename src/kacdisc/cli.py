@@ -61,12 +61,11 @@ def _atomic_write(path: Path, text: str, force: bool):
     os.replace(tmp, path)
 
 
-def emit_table(report: ExperimentReport, fmt: str, out_dir: Path,
-               force: bool) -> list:
-    """Write report.json plus per-trial records in the requested format."""
-    written = [out_dir / "report.json", out_dir / f"records.{fmt}"]
+def emit_table(report: ExperimentReport, out_dir: Path, force: bool) -> list:
+    """Write report.json and records.csv; return their paths."""
+    written = [out_dir / "report.json", out_dir / "records.csv"]
     _atomic_write(written[0], report.to_json() + "\n", force)
-    _atomic_write(written[1], report.records_text(fmt), force)
+    _atomic_write(written[1], report.records_csv(), force)
     return written
 
 
@@ -117,8 +116,6 @@ def _add_experiment_flags(sp):
     sp.add_argument("--seed", type=int)
     sp.add_argument("--workers", type=int, help="parallel workers (default 1)")
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--format", choices=["csv", "jsonl", "json"],
-                    default="csv")
     sp.add_argument("--force", action="store_true")
 
 
@@ -243,9 +240,8 @@ def _cmd_experiment(name: str, args) -> int:
     report = _EXPERIMENTS[name](config)
     if args.out:
         out = Path(args.out)
-        _write_manifest(args, {"config": report.config,
-                               "format": args.format})
-        emit_table(report, args.format, out, args.force)
+        _write_manifest(args, {"config": report.config})
+        emit_table(report, out, args.force)
         print(f"{name}: wrote report to {out}")
     else:
         sys.stdout.write(report.to_json() + "\n")

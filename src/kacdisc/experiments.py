@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import get_type_hints
 
 import numpy as np
 
 from . import limits
-from .discriminant import MIN_QUAD_FACTOR, decompose, quad_grid_points
+from .discriminant import (MIN_QUAD_FACTOR, DiscriminantBreakdown, decompose,
+                           quad_grid_points)
 from .errors import (ConfigurationError, DoubleRootError, EmptyInputError,
                      ExperimentIntegrityError, NonConvergenceError)
 from .polynomials import (GAUSSIAN_COMPLEX, RADEMACHER,
@@ -152,25 +154,19 @@ class ExperimentReport:
                    "reference": self.reference, "guards": self.guards}
         return json.dumps(payload, sort_keys=True)
 
-    def records_text(self, fmt: str) -> str:
-        """The records as "csv" (header row, floats by repr), "jsonl" (one
-        object per line) or "json" (one list)."""
-        if fmt == "json":
-            return json.dumps(self.records, sort_keys=True) + "\n"
-        if fmt == "jsonl":
-            lines = [json.dumps(r, sort_keys=True) for r in self.records]
-        elif fmt == "csv":
-            lines = [",".join(self.record_columns)] + [
-                ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                         for c in self.record_columns) for r in self.records]
-        else:
-            raise ValueError(f"unknown record format {fmt!r}")
+    def records_csv(self) -> str:
+        """The records as CSV: a header row, then one row per record with
+        floats by repr."""
+        lines = [",".join(self.record_columns)] + [
+            ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
+                     for c in self.record_columns) for r in self.records]
         return "\n".join(lines) + "\n"
 
 
 def _run_trials(fn, args_list, workers: int) -> list:
-    # the pool forks all its workers at the first submit
-    workers = min(workers, len(args_list))
+    # the pool forks all its workers at the first submit, so more than one
+    # per task or per usable CPU would only sit idle
+    workers = min(workers, len(args_list), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))
@@ -242,28 +238,25 @@ def _run_experiment(config: ExperimentConfig, name: str, trial,
         records=all_recs)
 
 
+# every DiscriminantBreakdown field but n, which the record already holds
+_BREAKDOWN_COLUMNS = tuple(f.name for f in fields(DiscriminantBreakdown)
+                           if f.name != "n")
+
+
 def _breakdown_trial(config: ExperimentConfig, p) -> dict:
-    """Direct-route theorem statistic plus, when no root sits on the unit
-    circle, the decomposition pieces."""
+    """The breakdown of the trial's polynomial; a root on the unit circle
+    leaves its split pieces NaN and the total the direct one."""
     try:
         br = decompose(p, find_roots(p), MIN_QUAD_FACTOR * (p.degree + 1))
     except DoubleRootError:
         return {"status": "double_root"}
-    rec = {"log_abs_disc_direct": br.log_abs_disc_direct,
-           "statistic": br.statistic}
+    rec = {c: getattr(br, c) for c in _BREAKDOWN_COLUMNS}
     if math.isnan(br.sum_inside):
         # statistic still valid; only the inside/outside split is undefined
         rec["status"] = "circle_root"
-        return rec
-    rec.update(sum_inside=br.sum_inside, sum_outside=br.sum_outside,
-               mahler_term=br.mahler_term, log_n_term=br.log_n_term,
-               total_log_abs_disc=br.total_log_abs_disc)
     return rec
 
 
-_BREAKDOWN_COLUMNS = ("sum_inside", "sum_outside", "mahler_term",
-                      "log_n_term", "total_log_abs_disc", "statistic",
-                      "log_abs_disc_direct")
 _BREAKDOWN_GUARDS = ("double_root", "circle_root", "nonconverged")
 
 

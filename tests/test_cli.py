@@ -274,18 +274,25 @@ def test_disc_total_log4(capsys):
     assert err == "log|disc| = 1.3862943611198906\n"
 
 
-@pytest.mark.parametrize("dist", ["rademacher", "gaussian-complex",
-                                  "gaussian-real"])
-def test_disc_reproduces_the_lln_record(tmp_path, capsys, dist):
+@pytest.mark.parametrize("dist,n,trials", [
+    pytest.param(dist, "64,200", 3, id=dist)
+    for dist in ("rademacher", "gaussian-complex", "gaussian-real")] + [
+    # trials 2, 7, 14 and 15 have a root on the unit circle
+    pytest.param("rademacher", "63", 20, id="rademacher-circle-root")])
+def test_disc_reproduces_the_lln_record(tmp_path, capsys, dist, n, trials):
     # disc runs decompose on the runners' grid, so the polynomial that
-    # sample writes for a trial gives back that trial's record; circle_root
-    # trials are left out, their record has no total_log_abs_disc
+    # sample writes for a trial gives back that trial's record, a
+    # circle_root record too; only a double_root record has no breakdown
     flags = ["--dist", dist, "--seed", "7"]
-    assert run(capsys, "lln", *flags, "--n", "64,200", "--trials", "3",
+    assert run(capsys, "lln", *flags, "--n", n, "--trials", str(trials),
                "--out", str(tmp_path / "lln"))[0] == 0
     with open(tmp_path / "lln" / "records.csv") as fh:
-        records = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
-    assert records
+        records = [r for r in csv.DictReader(fh)
+                   if r["status"] != "double_root"]
+    assert len(records) == trials * len(n.split(","))
+    if n == "63":
+        assert [int(r["trial"]) for r in records
+                if r["status"] == "circle_root"] == [2, 7, 14, 15]
     for rec in records:
         out = tmp_path / f"sample-{rec['n']}-{rec['trial']}"
         assert run(capsys, "sample", *flags, "--n", rec["n"],
@@ -315,7 +322,7 @@ def test_worker_count_ignores_the_environment(capsys, monkeypatch):
 def test_experiments_take_no_grid_or_annulus_flag(capsys):
     # every experiment samples the grid floor and counts in the log^2 annulus
     for name in _EXPERIMENTS:
-        for flag in ("--omega=log2", "--quad-factor=16"):
+        for flag in ("--omega=log2", "--quad-factor=16", "--format=csv"):
             rc, out, err = run(capsys, name, "--n", "97", flag)
             assert _one_line_error(rc, out, err)
             assert err == f"usage error: unrecognized arguments: {flag}\n"
@@ -484,16 +491,6 @@ def test_only_quadrature_runs_load_scipy(argv):
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []
-
-
-def test_records_jsonl_format(tmp_path, capsys):
-    rc, _, _ = run(capsys, "minmod", "--dist", "rademacher", "--n", "16",
-                   "--trials", "3", "--seed", "2", "--format", "jsonl",
-                   "--out", str(tmp_path))
-    assert rc == 0
-    lines = (tmp_path / "records.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert json.loads(lines[0])["n"] == 16
 
 
 def test_report_json_roundtrip(tmp_path, capsys):

@@ -223,7 +223,8 @@ def test_report_determinism_and_worker_independence(run, kw):
 def test_pool_no_larger_than_task_list(monkeypatch):
     # a pool forks all its workers at the first submit, so 64 workers for
     # 2 trials would fork 62 idle processes; the recorder runs the map in
-    # this process and starts none
+    # this process and starts none, and the affinity is patched so that the
+    # host's CPU count does not matter
     opened = []
 
     class Recorder:
@@ -240,12 +241,19 @@ def test_pool_no_larger_than_task_list(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    cpus = set(range(8))
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: cpus)
     wide = run_lln(config(n_ladder=(16,), trials=2, workers=64))
     assert opened == [2]
     assert wide.records == run_lln(config(n_ladder=(16,), trials=2)).records
     # one task runs in this process
     run_lln(config(n_ladder=(16,), trials=1, workers=64))
     assert opened == [2]
+    # nor more workers than the CPUs this process may run on
+    opened.clear()
+    cpus = {0, 1, 2}
+    run_lln(config(n_ladder=(16,), trials=10, workers=64))
+    assert opened == [3]
 
 
 @pytest.mark.parametrize("run,kw", [
@@ -271,7 +279,7 @@ def test_nonconvergence_budget(monkeypatch, run, kw):
     # the failed trial's record carries every column, as NaN
     assert set(rep.records[0]) == set(rep.record_columns)
     assert math.isnan(rep.records[0][rep.record_columns[-1]])
-    assert rep.records_text("csv").count("\n") == 101
+    assert rep.records_csv().count("\n") == 101
     failing[0] = 2
     with pytest.raises(ExperimentIntegrityError,
                        match=r"^2/100 trials failed to converge at n=\d+$"):
@@ -288,12 +296,7 @@ def test_lln_double_root_trials():
     split = ("sum_inside", "sum_outside", "mahler_term", "total_log_abs_disc")
     assert all(math.isnan(r[col]) for r in doubles for col in split)
     # NaN != NaN, so the records are compared as text
-    assert rep2.records_text("jsonl") == rep.records_text("jsonl")
-    # the json format is the jsonl lines as one list
-    lines = rep.records_text("jsonl").splitlines()
-    assert rep.records_text("json") == "[" + ", ".join(lines) + "]\n"
-    with pytest.raises(ValueError, match="unknown record format 'xml'"):
-        rep.records_text("xml")
+    assert rep2.records_csv() == rep.records_csv()
 
 
 def test_lln_degree_without_usable_trial_stops():
@@ -314,7 +317,7 @@ def test_mahler_counts_grid_roots():
     assert all(math.isnan(r["statistic"]) for r in roots)
     assert rep.per_n["15"]["stats"]["count"] == 21
     # NaN != NaN, so the records are compared as text
-    assert rep2.records_text("jsonl") == rep.records_text("jsonl")
+    assert rep2.records_csv() == rep.records_csv()
 
 
 def test_mahler_runner_gaussian():

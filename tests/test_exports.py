@@ -33,6 +33,7 @@ NO_PACKAGE_CALLER = {
 WHOLE_CLASS_READERS = {
     "SummaryStats": "the runners write it whole into report.json",
     "MahlerResult": "criterion 05 reads it",
+    "DiscriminantBreakdown": "disc and the lln/symmetry records write it whole",
 }
 
 
